@@ -15,8 +15,11 @@ least one verification failure, 2 invalid invocation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+
+import numpy as np
 
 from .arith import EPS, integer_residual
 from .errors import UnsupportedCaseError
@@ -63,26 +66,18 @@ def _cmd_table(args) -> int:
     else:
         labels, tensor = ring.labels, ring.l
 
-    rows = []
-    for x, lx in enumerate(labels):
-        for y, ly in enumerate(labels):
-            for z, lz in enumerate(labels):
-                mult = int(tensor[x, y, z])
-                if mult:
-                    rows.append({"x": lx, "y": ly, "z": lz, "mult": mult})
+    # nonzero entries in lexicographic (x, y, z) order
+    nonzero = np.nonzero(tensor)
+    names = ([labels[t] for t in axis.tolist()] for axis in nonzero)
+    entries = list(zip(*names, tensor[nonzero].tolist()))
     if args.json:
+        rows = [{"x": lx, "y": ly, "z": lz, "mult": mult} for lx, ly, lz, mult in entries]
         _emit_json(args.m, ring.kappa, args.tol, rows)
         return 0
-    for x, lx in enumerate(labels):
-        for y, ly in enumerate(labels):
-            parts = []
-            for z, lz in enumerate(labels):
-                mult = int(tensor[x, y, z])
-                if mult == 1:
-                    parts.append(lz)
-                elif mult > 1:
-                    parts.append(f"{mult} {lz}")
-            print(f"{lx} x {ly} = " + " + ".join(parts))
+    # no product of simples is zero, so every (x, y) pair has entries
+    for (lx, ly), terms in itertools.groupby(entries, key=lambda e: e[:2]):
+        parts = [lz if mult == 1 else f"{mult} {lz}" for _, _, lz, mult in terms]
+        print(f"{lx} x {ly} = " + " + ".join(parts))
     return 0
 
 
@@ -111,11 +106,9 @@ def _cmd_smatrix(args) -> int:
         _emit_json(args.m, ext.kappa, args.tol, rows)
         return 0
     width = max(len(lab) for lab in row_labels + col_labels) + 1
-    header = " " * width + "  ".join(f"{lab:>22}" for lab in col_labels)
-    print(header)
-    for a, rl in enumerate(row_labels):
-        cells = "  ".join(f"({block[a, b].real: .6f}, {0.0: .6f})" for b in range(len(col_labels)))
-        print(f"{rl:<{width}}" + cells)
+    print(" " * width + "  ".join(f"{lab:>10}" for lab in col_labels))
+    for rl, row in zip(row_labels, block.tolist()):
+        print(f"{rl:<{width}}" + "  ".join(f"{value:10.6f}" for value in row))
     return 0
 
 
@@ -150,7 +143,7 @@ def _evaluate_coeff(ext: ExtData, formula: str, i: str, j: str, k: str) -> float
     if formula == "verlinde":
         di, dj, dk = (_parse_d_index(t, ext.d.delta) for t in (i, j, k))
         return ext.d.verlinde_coeff(di, dj, dk)
-    li, lj, lk = (_parse_c_label(t, ext.ring) for t in (i, j, k))
+    li, lj, lk = (ext.ring.labels[ext.ring.index(t)] for t in (i, j, k))
     if formula == "oracle":
         return float(ext.ring.coeff(li, lj, lk))
     if formula == "ext-e":
@@ -166,20 +159,6 @@ def _parse_d_index(token: str, delta: int) -> int:
     if not 0 <= value <= delta:
         raise ValueError(f"sl2 label {value} outside 0..{delta}")
     return value
-
-
-def _parse_c_label(token: str, ring: TypeDRing) -> str:
-    if token in ("+", "-"):
-        label = "X" + token
-    elif token.startswith("X") or token.startswith("x"):
-        label = "X" + token[1:]
-    else:
-        try:
-            label = f"X{int(token)}"
-        except ValueError:
-            raise ValueError(f"bad label {token!r}; expected 0..{2 * ring.m - 1}, '+' or '-'") from None
-    ring.index(label)  # validates against the label set
-    return label
 
 
 def _cmd_verify(args) -> int:

@@ -12,6 +12,11 @@ the odd classes are pinned to twice the corresponding sl2 entries.  The
 residual sign freedom of each flipped element is harmless: every formula
 evaluated here is quadratic in those pairings.
 
+The change of basis to the convolution eigenbasis is the single 2x2 block
+`CHANGE_OF_BASIS`, acting on each (lambda_i, flipped_i) pair; its inverse is
+twice itself, and `diagonalization_matrices` in `formulas` builds its matrix
+from the same block.
+
 Supported numerically are the blocks graded (e,e), (a,e) and (e,a) in
 (group, sector) order.  Operations that would need data on the remaining
 block, or structure constants of the twisted tensor product, raise
@@ -27,10 +32,15 @@ import numpy as np
 
 from .arith import EPS, gauss_sum_reciprocal, twist
 from .errors import ConstructionError, InconsistencyError, UnsupportedCaseError
-from .ring import MINUS, PLUS, TypeDRing
+from .ring import MINUS, PLUS, TypeDRing, canonical_label, require_even_m
 from .sl2 import Sl2Data
 
 _PRUNE = 1e-15  # coefficient noise floor for ExtVector storage
+
+CHANGE_OF_BASIS = np.array([[-0.5, 0.5], [0.5, 0.5]])
+"""Change to the convolution eigenbasis on one (lambda_i, flipped_i) pair,
+acting on coefficient columns ordered (unflipped, flipped).  It squares to
+half the identity, so its inverse is exactly 2 * CHANGE_OF_BASIS."""
 
 
 @dataclass(frozen=True)
@@ -49,25 +59,17 @@ class GradedLabel:
         prefix, _, name = token.partition(":")
         if prefix not in ("l", "al") or not name:
             raise ValueError(f"bad graded label {token!r}; expected 'l:<i>' or 'al:<i>'")
-        label = name if name in ("+", "-") else "X" + name
-        label = {"+": PLUS, "-": MINUS}.get(label, label)
-        return cls(label, flipped=(prefix == "al"))
+        return cls(canonical_label(name), flipped=(prefix == "al"))
 
 
 def lam(x) -> "ExtVector":
     """Basis vector lambda_x (unflipped)."""
-    return ExtVector({GradedLabel(_as_label(x)): 1.0})
+    return ExtVector({GradedLabel(canonical_label(x)): 1.0})
 
 
 def alam(x) -> "ExtVector":
     """Basis vector of the flipped partner of class x."""
-    return ExtVector({GradedLabel(_as_label(x), flipped=True): 1.0})
-
-
-def _as_label(x) -> str:
-    if isinstance(x, str):
-        return {"+": PLUS, "-": MINUS}.get(x, x)
-    return f"X{int(x)}"
+    return ExtVector({GradedLabel(canonical_label(x), flipped=True): 1.0})
 
 
 class ExtVector:
@@ -126,15 +128,10 @@ class ExtVector:
         return "ExtVector(" + " + ".join(parts) + ")" if parts else "ExtVector(0)"
 
 
-def _check_even_m(m: int) -> None:
-    if m < 2 or m % 2:
-        raise UnsupportedCaseError(f"only even m >= 2 is supported, got {m}")
-
-
 def exceptional_diag(m: int) -> float:
     """Diagonal s-entry on the split pair, (s x+, x+) = (s x-, x-):
     (sqrt(2/kappa) + (-1)^(m/2)) / 2 with kappa = 4m + 2."""
-    _check_even_m(m)
+    require_even_m(m)
     kappa = 4 * m + 2
     return 0.5 * (math.sqrt(2.0 / kappa) + (-1.0) ** (m // 2))
 
@@ -143,7 +140,7 @@ def exceptional_cross(m: int) -> float:
     """Off-diagonal s-entry on the split pair, (s x+, x-):
     (sqrt(2/kappa) - (-1)^(m/2)) / 2.  Together with the diagonal entry it
     sums to the sl2 entry s[2m, 2m] the pair descends from."""
-    _check_even_m(m)
+    require_even_m(m)
     kappa = 4 * m + 2
     return 0.5 * (math.sqrt(2.0 / kappa) - (-1.0) ** (m // 2))
 
@@ -156,7 +153,7 @@ def exceptional_diag_via_twists(ext: "ExtData", tol: float = EPS) -> float:
     row = ring.l[ring.plus, ring.plus]
     total = 0j
     for z in np.nonzero(row)[0]:
-        total += row[z] * ext.theta_class(z) * ring.dims[z]
+        total += row[z] * ext.theta_class(ring.labels[z]) * ring.dims[z]
     value = total / twist(2 * ring.m, ring.kappa) ** 2 / ext.big_d_c
     if abs(value.imag) >= tol:
         raise InconsistencyError(f"twist-route entry is not real: {value!r}")
@@ -167,7 +164,7 @@ def exceptional_diag_via_gauss(m: int, tol: float = EPS) -> float:
     """The diagonal split-pair entry a third way: the alternating theta sum
     collapses to the quadratic Gauss sum S(8, kappa), which reciprocity
     evaluates from the eight-term S(kappa, 8).  Must be real."""
-    _check_even_m(m)
+    require_even_m(m)
     kappa = 4 * m + 2
     s8k = gauss_sum_reciprocal(8, kappa)
     unnormalized = (-1.0) ** m / (4.0 * math.sin(math.pi / kappa)) * (1.0 + 0.5 * s8k)
@@ -215,18 +212,14 @@ class ExtData:
         self.e_labels = [f"X{i}" for i in self.fixed_classes] + [PLUS, MINUS]
         self.e_index = {lab: a for a, lab in enumerate(self.e_labels)}
 
-        s = d.s
+        s, fixed = d.s, self.fixed_classes
         ee = np.zeros((m + 2, m + 2))
-        for a, i in enumerate(self.fixed_classes):
-            for b, j in enumerate(self.fixed_classes):
-                ee[a, b] = 2.0 * s[i, j]
-            ee[a, m] = ee[a, m + 1] = ee[m, a] = ee[m + 1, a] = s[2 * m, i]
+        ee[:m, :m] = 2.0 * s[np.ix_(fixed, fixed)]
+        ee[:m, m] = ee[:m, m + 1] = ee[m, :m] = ee[m + 1, :m] = s[2 * m, fixed]
         ee[m, m] = ee[m + 1, m + 1] = exceptional_diag(m)
         ee[m, m + 1] = ee[m + 1, m] = exceptional_cross(m)
         self.s_ee = ee
-        self.s_ea = np.array(
-            [[2.0 * s[j, p] for p in self.fixed_classes] for j in self.odd_classes]
-        )
+        self.s_ea = 2.0 * s[np.ix_(self.odd_classes, fixed)]
         self.big_d_c = d.big_d / 2.0
 
         err = np.max(np.abs(ee @ ee.T - np.eye(m + 2)))
@@ -263,22 +256,30 @@ class ExtData:
         """Tensor product.  Mixed flip components multiply to zero; a product
         of two flipped elements needs twisted structure constants and is
         rejected."""
+        xs, cx, x_flipped = self._unflipped_support(x)
+        ys, cy, y_flipped = self._unflipped_support(y)
+        if x_flipped and y_flipped:
+            raise UnsupportedCaseError(
+                "tensor product of two flipped elements is outside numeric scope"
+            )
+        if not (xs and ys):
+            return ExtVector()
         ring = self.ring
-        out = ExtVector()
-        for lx, cx in x.items():
-            ix = self._class_index(lx)
-            for ly, cy in y.items():
-                iy = self._class_index(ly)
-                if lx.flipped != ly.flipped:
-                    continue
-                if lx.flipped:
-                    raise UnsupportedCaseError(
-                        "tensor product of two flipped elements is outside numeric scope"
-                    )
-                row = ring.l[ix, iy]
-                for z in np.nonzero(row)[0]:
-                    out._accumulate(GradedLabel(ring.labels[z]), cx * cy * row[z])
-        return out
+        out = np.einsum("a,b,abz->z", cx, cy, ring.l[np.ix_(xs, ys)])
+        return ExtVector({GradedLabel(ring.labels[z]): out[z] for z in np.flatnonzero(out)})
+
+    def _unflipped_support(self, x: ExtVector) -> tuple[list[int], np.ndarray, bool]:
+        """Class positions and coefficients of the unflipped terms of x, and
+        whether x has a flipped term.  Every label is validated."""
+        positions, coeffs, flipped = [], [], False
+        for label, c in x.items():
+            position = self._class_index(label)
+            if label.flipped:
+                flipped = True
+            else:
+                positions.append(position)
+                coeffs.append(c)
+        return positions, np.array(coeffs, dtype=complex), flipped
 
     def convolve(self, x: ExtVector, y: ExtVector) -> ExtVector:
         """Convolution product on the untwisted grading.  Distinct classes
@@ -305,36 +306,28 @@ class ExtData:
             )
 
     def change_basis(self, x: ExtVector) -> ExtVector:
-        """Change to the convolution eigenbasis: on each (lambda_i, flipped_i)
-        pair apply the block [[-1/2, 1/2], [1/2, 1/2]]; classes without a
-        flipped partner are fixed.  Applying it twice halves a paired vector."""
-        out = ExtVector()
-        for label, c in x.items():
-            self._require_untwisted_grading(label)
-            if label.cls in (PLUS, MINUS):
-                out._accumulate(label, c)
-            elif label.flipped:
-                out._accumulate(GradedLabel(label.cls), c / 2.0)
-                out._accumulate(label, c / 2.0)
-            else:
-                out._accumulate(label, -c / 2.0)
-                out._accumulate(GradedLabel(label.cls, flipped=True), c / 2.0)
-        return out
+        """Change to the convolution eigenbasis: apply `CHANGE_OF_BASIS` on
+        each (lambda_i, flipped_i) pair; classes without a flipped partner
+        are fixed.  Applying it twice halves a paired vector."""
+        return self._apply_pair_block(x, CHANGE_OF_BASIS)
 
     def change_basis_inverse(self, x: ExtVector) -> ExtVector:
-        """Inverse of `change_basis`: the paired blocks invert to
-        [[-1, 1], [1, 1]]."""
+        """Inverse of `change_basis`."""
+        return self._apply_pair_block(x, 2.0 * CHANGE_OF_BASIS)
+
+    def _apply_pair_block(self, x: ExtVector, block: np.ndarray) -> ExtVector:
+        """Apply a 2x2 block to the (unflipped, flipped) coefficients of
+        each paired class; the split pair passes through."""
+        block = block.tolist()
         out = ExtVector()
         for label, c in x.items():
             self._require_untwisted_grading(label)
             if label.cls in (PLUS, MINUS):
                 out._accumulate(label, c)
-            elif label.flipped:
-                out._accumulate(GradedLabel(label.cls), c)
-                out._accumulate(label, c)
-            else:
-                out._accumulate(label, -c)
-                out._accumulate(GradedLabel(label.cls, flipped=True), c)
+                continue
+            column = int(label.flipped)
+            for row, flipped in enumerate((False, True)):
+                out._accumulate(GradedLabel(label.cls, flipped), block[row][column] * c)
         return out
 
     def twist_op(self, x: ExtVector) -> ExtVector:

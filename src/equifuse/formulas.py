@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import EPS, integer_residual
-from .errors import UnsupportedCaseError
+from .arith import EPS
 from .extended import (
+    CHANGE_OF_BASIS,
     ExtData,
     ExtVector,
     alam,
@@ -24,7 +24,7 @@ from .extended import (
     exceptional_diag_via_twists,
     lam,
 )
-from .ring import MINUS, PLUS, TypeDRing
+from .ring import TypeDRing
 from .sl2 import Sl2Data
 
 
@@ -59,14 +59,32 @@ class VerificationReport:
 
 
 # -- evaluators -------------------------------------------------------------
+#
+# Each formula is written once, over positions in the s-matrix blocks.  The
+# positions may be index arrays that broadcast, so the same expression gives
+# one coefficient's summands for a point evaluator and a whole block of them
+# (summands on the last axis) for a check.
+
+
+def _ee_terms(ext: ExtData, px, py, pz) -> np.ndarray:
+    s = ext.s_ee
+    return s[px] * s[py] * s[pz] / s[0]
+
+
+def _e_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
+    m = ext.m
+    return ext.s_ee[pi, :m] * ext.s_ea[pj] * ext.s_ea[pk] / ext.s_ee[0, :m]
+
+
+def _a_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
+    m = ext.m
+    return ext.s_ea[pi] * ext.s_ea[pj] * ext.s_ee[pk, :m] / ext.s_ee[0, :m]
 
 
 def ee_verlinde_terms(ext: ExtData, x, y, z) -> np.ndarray:
     """Summands of the Verlinde formula inside the untwisted identity block,
     one per basis column (even classes then the split pair)."""
-    s = ext.s_ee
-    ix, iy, iz = (_e_pos(ext, t) for t in (x, y, z))
-    return s[ix] * s[iy] * s[iz] / s[0]
+    return _ee_terms(ext, _e_pos(ext, x), _e_pos(ext, y), _e_pos(ext, z))
 
 
 def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
@@ -78,11 +96,7 @@ def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
 def ext_coeff_e_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands of the transfer formula for i in the untwisted identity
     block and j, k odd; columns run over the flip-fixed even classes."""
-    si = ext.s_ee[_e_pos(ext, i), : ext.m]
-    sj = ext.s_ea[_odd_pos(ext, j)]
-    sk = ext.s_ea[_odd_pos(ext, k)]
-    s0 = ext.s_ee[0, : ext.m]
-    return si * sj * sk / s0
+    return _e_terms(ext, _e_pos(ext, i), _odd_pos(ext, j), _odd_pos(ext, k))
 
 
 def ext_coeff_e(ext: ExtData, i, j, k) -> float:
@@ -90,7 +104,7 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
     identity block and j, k share a sector.  For even j, k this is the plain
     block Verlinde formula; for odd j, k the sum runs over the flip-fixed
     even classes and uses the flipped-basis pairings."""
-    sj, sk = ext.ring.sector(_cls(j)), ext.ring.sector(_cls(k))
+    sj, sk = ext.ring.sector(j), ext.ring.sector(k)
     if sj != sk:
         raise ValueError(f"j and k must share a sector, got {j!r} and {k!r}")
     if sj == 0:
@@ -100,11 +114,7 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
 
 def ext_coeff_a_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands for i, j odd and k in the untwisted identity block."""
-    si = ext.s_ea[_odd_pos(ext, i)]
-    sj = ext.s_ea[_odd_pos(ext, j)]
-    sk = ext.s_ee[_e_pos(ext, k), : ext.m]
-    s0 = ext.s_ee[0, : ext.m]
-    return si * sj * sk / s0
+    return _a_terms(ext, _odd_pos(ext, i), _odd_pos(ext, j), _e_pos(ext, k))
 
 
 def ext_coeff_a(ext: ExtData, i, j, k) -> float:
@@ -113,25 +123,23 @@ def ext_coeff_a(ext: ExtData, i, j, k) -> float:
     return float(np.sum(ext_coeff_a_terms(ext, i, j, k)))
 
 
-def _cls(x) -> str:
-    if isinstance(x, str):
-        return {"+": PLUS, "-": MINUS}.get(x, x)
-    return f"X{int(x)}"
-
-
 def _e_pos(ext: ExtData, x) -> int:
-    label = _cls(x)
-    if label not in ext.e_index:
+    position = ext.e_index.get(ext.ring.labels[ext.ring.index(x)])
+    if position is None:
         raise ValueError(f"{x!r} is not an untwisted identity-block label")
-    return ext.e_index[label]
+    return position
 
 
 def _odd_pos(ext: ExtData, x) -> int:
-    label = _cls(x)
-    idx = ext.ring.index(label)
+    idx = ext.ring.index(x)
     if idx >= 2 * ext.m or idx % 2 == 0:
         raise ValueError(f"{x!r} is not an odd-sector label")
     return (idx - 1) // 2
+
+
+def _e_classes(ext: ExtData) -> list[int]:
+    """Ring positions of the untwisted identity-block basis, in its order."""
+    return ext.fixed_classes + [ext.ring.plus, ext.ring.minus]
 
 
 # -- identity checks on the sl2 side ----------------------------------------
@@ -164,10 +172,8 @@ def check_d_modular_relation(d: Sl2Data, tol: float) -> Check:
 
 def check_d_s_from_twists(d: Sl2Data, tol: float) -> Check:
     """The ribbon route to every s-entry against the sine closed form."""
-    res = 0.0
-    for i in range(d.delta + 1):
-        for j in range(d.delta + 1):
-            res = max(res, abs(d.s_from_twists(i, j) - d.s[i, j]))
+    idx = np.arange(d.delta + 1)
+    res = float(np.max(np.abs(d.s_from_twists(idx[:, None], idx) - d.s)))
     return Check("d-s-via-twists", f"kappa={d.kappa}", res, res < tol)
 
 
@@ -270,55 +276,41 @@ def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     ]
 
 
-def _oracle_residual(value: float, oracle: int) -> float:
-    """Residual against the oracle integer.  A value that rounds to a
-    different integer is at least 1/2 away, so a wrong coefficient can never
-    sneak under a tolerance; the floor keeps that explicit."""
-    nearest, _ = integer_residual(value)
-    residual = abs(value - oracle)
-    if nearest != oracle:
-        return max(residual, 0.5)
-    return residual
+def _oracle_residual(values: np.ndarray, oracle: np.ndarray) -> float:
+    """Largest residual against the oracle integers.  A value that rounds to
+    a different integer is at least 1/2 away, so a wrong coefficient can
+    never sneak under a tolerance; the floor keeps that explicit."""
+    residual = np.abs(values - oracle)
+    wrong = np.rint(values) != oracle
+    return float(np.max(np.where(wrong, np.maximum(residual, 0.5), residual)))
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
     """Block Verlinde formula against the ring table for every triple of
     untwisted identity-block labels."""
-    ring = ext.ring
-    res = 0.0
-    for x in ext.e_labels:
-        for y in ext.e_labels:
-            for z in ext.e_labels:
-                value = ee_verlinde_coeff(ext, x, y, z)
-                res = max(res, _oracle_residual(value, ring.coeff(x, y, z)))
+    e, e_ring = np.arange(ext.m + 2), _e_classes(ext)
+    values = _ee_terms(ext, *np.ix_(e, e, e)).sum(axis=-1)
+    res = _oracle_residual(values, ext.ring.l[np.ix_(e_ring, e_ring, e_ring)])
     return Check("c-ee-verlinde", f"m={ext.m}", res, res < tol)
 
 
 def check_ext_even(ext: ExtData, tol: float) -> Check:
     """Transfer formula with an identity-block left factor against the ring
     table, for every odd pair j, k."""
-    ring = ext.ring
-    odd = [f"X{j}" for j in ext.odd_classes]
-    res = 0.0
-    for i in ext.e_labels:
-        for j in odd:
-            for k in odd:
-                value = ext_coeff_e(ext, i, j, k)
-                res = max(res, _oracle_residual(value, ring.coeff(i, j, k)))
+    e, odd = np.arange(ext.m + 2), np.arange(ext.m)
+    values = _e_terms(ext, *np.ix_(e, odd, odd)).sum(axis=-1)
+    odd_ring = ext.odd_classes
+    res = _oracle_residual(values, ext.ring.l[np.ix_(_e_classes(ext), odd_ring, odd_ring)])
     return Check("c-even-formula", f"m={ext.m}", res, res < tol)
 
 
 def check_ext_odd(ext: ExtData, tol: float) -> Check:
     """Transfer formula with two odd factors against the ring table, for
     every identity-block output."""
-    ring = ext.ring
-    odd = [f"X{j}" for j in ext.odd_classes]
-    res = 0.0
-    for i in odd:
-        for j in odd:
-            for k in ext.e_labels:
-                value = ext_coeff_a(ext, i, j, k)
-                res = max(res, _oracle_residual(value, ring.coeff(i, j, k)))
+    e, odd = np.arange(ext.m + 2), np.arange(ext.m)
+    values = _a_terms(ext, *np.ix_(odd, odd, e)).sum(axis=-1)
+    odd_ring = ext.odd_classes
+    res = _oracle_residual(values, ext.ring.l[np.ix_(odd_ring, odd_ring, _e_classes(ext))])
     return Check("c-odd-formula", f"m={ext.m}", res, res < tol)
 
 
@@ -340,19 +332,17 @@ def diagonalization_matrices(ext: ExtData, i: int) -> tuple[np.ndarray, np.ndarr
     i_pos = _odd_pos(ext, i)
     dim = 2 * m + 2  # m pairs then the split pair
 
-    mix = np.zeros((dim, dim))
-    for a in range(m):
-        mix[2 * a : 2 * a + 2, 2 * a : 2 * a + 2] = [[-0.5, 0.5], [0.5, 0.5]]
-    mix[2 * m, 2 * m] = mix[2 * m + 1, 2 * m + 1] = 1.0
+    mix = np.eye(dim)
+    mix[: 2 * m, : 2 * m] = np.kron(np.eye(m), CHANGE_OF_BASIS)
 
-    ring = ext.ring
+    # row b: s of the image of the b-th odd basis element under multiplication
+    # by lambda_i, as a stack of matrix-vector products (a single matrix
+    # product would round differently from one product per image)
+    images = ext.ring.l[ext.ring.index(i)][np.ix_(ext.odd_classes, _e_classes(ext))]
+    s_images = (ext.s_ee @ images[..., None])[..., 0]
     lhs_cols = np.zeros((dim, m))
-    for b, j in enumerate(ext.odd_classes):
-        image = np.array([ring.coeff(_cls(i), f"X{j}", lab) for lab in ext.e_labels])
-        s_image = ext.s_ee @ image
-        lhs_cols[0 : 2 * m : 2, b] = s_image[:m]  # lambda slots
-        lhs_cols[2 * m, b] = s_image[m]
-        lhs_cols[2 * m + 1, b] = s_image[m + 1]
+    lhs_cols[0 : 2 * m : 2] = s_images[:, :m].T  # lambda slots
+    lhs_cols[2 * m :] = s_images[:, m:].T  # the split pair
     lhs = mix @ lhs_cols
 
     rhs_cols = np.zeros((dim, m))
@@ -407,47 +397,43 @@ def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float
     element on the output slot; with the pair also merged there, the left
     side would count both halves and come out exactly twice the right.
     """
-    m, d = ext.m, ext.d
-    s, delta = d.s, d.delta
     if i % 2:
         raise ValueError(f"first index must be even, got {i}")
     for t in (i, j, k):
-        if not 0 <= t <= 2 * m:
-            raise ValueError(f"index {t} outside the merged range 0..{2 * m}")
+        if not 0 <= t <= 2 * ext.m:
+            raise ValueError(f"index {t} outside the merged range 0..{2 * ext.m}")
+    lhs, rhs = _folded_sum_at(ext, i, j, np.asarray(k), j % 2)
+    return float(lhs), float(rhs)
 
-    fold = s[k] + s[delta - k] if k != 2 * m else s[2 * m]
-    rhs = float(np.sum(s[i] * s[j] * fold / s[0]))
 
-    def e_row(t: int) -> np.ndarray:
-        # pairings (s lambda_t, .) over the identity-block basis, merged at 2m
-        if t == 2 * m:
-            return ext.s_ee[m] + ext.s_ee[m + 1]
-        return ext.s_ee[_e_pos(ext, t)]
+def _folded_sum_at(ext: ExtData, i, j, k: np.ndarray, parity: int):
+    """Both sides of the sum-transfer identity at merged-range indices that
+    broadcast: i even, j of the given parity, k any."""
+    m, s, delta = ext.m, ext.d.s, ext.d.delta
+    middle = (k == 2 * m)[..., None]
+    rhs = np.sum(s[i] * s[j] * np.where(middle, s[2 * m], s[k] + s[delta - k]) / s[0], axis=-1)
 
-    if j % 2:  # odd sector: columns are the flip-fixed even classes
-        rj = ext.s_ea[_odd_pos(ext, j)]
-        rk = ext.s_ea[_odd_pos(ext, k)] if k % 2 else np.zeros(m)
-        lhs = float(np.sum(e_row(i)[:m] * rj * rk / ext.s_ee[0, :m]))
-    else:  # identity block: columns are its full basis
-        rj = e_row(j)
-        if k % 2:
-            rk = np.zeros(m + 2)
-        elif k == 2 * m:
-            rk = ext.s_ee[m]  # single split element in the output slot
-        else:
-            rk = ext.s_ee[_e_pos(ext, k)]
-        lhs = float(np.sum(e_row(i) * rj * rk / ext.s_ee[0]))
+    # pairings (s lambda_t, .) of even t over the identity-block basis, with
+    # the split pair merged at t = 2m
+    merged = np.vstack([ext.s_ee[:m], ext.s_ee[m] + ext.s_ee[m + 1]])
+    if parity:  # odd sector: columns are the flip-fixed even classes
+        cols, rows_j, rows_k = m, ext.s_ea, ext.s_ea
+    else:  # identity block: columns are its full basis; a single split element at k = 2m
+        cols, rows_j, rows_k = m + 2, merged, ext.s_ee
+    # (k - parity) // 2 is the row of k in its sector; for k of the other
+    # parity it is merely a valid row, masked to zero
+    rk = np.where((k % 2 == parity)[..., None], rows_k[(k - parity) // 2], 0.0)
+    lhs = np.sum(merged[i // 2, :cols] * rows_j[j // 2] * rk / ext.s_ee[0, :cols], axis=-1)
     return lhs, rhs
 
 
 def check_folded_sum(ext: ExtData, tol: float) -> Check:
     m = ext.m
     res = 0.0
-    for i in range(0, 2 * m + 1, 2):
-        for j in range(2 * m + 1):
-            for k in range(2 * m + 1):
-                lhs, rhs = folded_sum_sides(ext, i, j, k)
-                res = max(res, abs(lhs - rhs))
+    for parity in (0, 1):  # the branches sum over different column sets
+        i, j, k = np.ix_(range(0, 2 * m + 1, 2), range(parity, 2 * m + 1, 2), range(2 * m + 1))
+        lhs, rhs = _folded_sum_at(ext, i, j, k, parity)
+        res = max(res, float(np.max(np.abs(lhs - rhs))))
     return Check("c-folded-sum", f"m={m}", res, res < tol)
 
 
@@ -457,12 +443,11 @@ def check_folded_sum(ext: ExtData, tol: float) -> Check:
 def verify_all(m: int, tol: float = EPS) -> VerificationReport:
     """Run every identity check for one m and aggregate the outcomes.
 
-    Raises UnsupportedCaseError for odd m; individual check failures never
-    raise, they are recorded in the report.  The report is sorted by check
-    name then parameters so repeated runs compare byte for byte.
+    Raises UnsupportedCaseError for odd m (from building the ring);
+    individual check failures never raise, they are recorded in the report.
+    The report is sorted by check name then parameters so repeated runs
+    compare byte for byte.
     """
-    if m < 2 or m % 2:
-        raise UnsupportedCaseError(f"only even m >= 2 is supported, got {m}")
     ext = ExtData.build(m)
     d, ring = ext.d, ext.ring
     report = VerificationReport(m=m, kappa=ext.kappa, tolerance=tol)

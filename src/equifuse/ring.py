@@ -21,6 +21,28 @@ PLUS = "X+"
 MINUS = "X-"
 
 
+def canonical_label(x) -> str:
+    """Canonical class label ("X3", "X+", "X-") of any accepted spelling:
+    a nonnegative int or numpy int, or a string "3", "+" or "-" with an
+    optional "X"/"x" prefix.  Ring-independent, so a well-formed label may
+    still be out of range for a given m; `TypeDRing.index` checks that."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0:
+        return f"X{int(x)}"
+    if isinstance(x, str):
+        body = x[1:] if x[:1] in ("X", "x") else x
+        if body in ("+", "-"):
+            return "X" + body
+        if body.isascii() and body.isdigit():
+            return f"X{int(body)}"
+    raise ValueError(f"bad label {x!r}; expected an integer >= 0, 'X<i>', '+' or '-'")
+
+
+def require_even_m(m: int) -> None:
+    """The quotient exists only for even m >= 2 (8 divides delta = 4m)."""
+    if m < 2 or m % 2:
+        raise UnsupportedCaseError(f"only even m >= 2 is supported, got {m}")
+
+
 class TypeDRing:
     """Fusion table, grading, dimensions and flip action for even m >= 2.
 
@@ -42,8 +64,7 @@ class TypeDRing:
     """
 
     def __init__(self, m: int):
-        if m < 2 or m % 2:
-            raise UnsupportedCaseError(f"only even m >= 2 is supported, got {m}")
+        require_even_m(m)
         self.m = m
         self.delta = 4 * m
         self.kappa = 4 * m + 2
@@ -125,15 +146,15 @@ class TypeDRing:
             raise InconsistencyError("multiplication table is not flip-invariant")
 
     def index(self, x) -> int:
-        """Label index; accepts the label string, '+'/'-' shorthand, or an int."""
-        if isinstance(x, (int, np.integer)):
-            if not 0 <= x < self.size:
-                raise ValueError(f"label index {x} outside 0..{self.size - 1}")
-            return int(x)
-        name = {"+": PLUS, "-": MINUS}.get(x, x)
-        if name not in self._index:
-            raise ValueError(f"unknown label {x!r}; expected one of {self.labels}")
-        return self._index[name]
+        """Position in `labels` of a class in any spelling `canonical_label`
+        accepts; an int names the class X<int>, so the split pair is only
+        reachable as '+'/'-' or 'X+'/'X-'."""
+        # canonical labels, the common case on hot paths, skip normalizing
+        label = x if isinstance(x, str) and x in self._index else canonical_label(x)
+        try:
+            return self._index[label]
+        except KeyError:
+            raise ValueError(f"unknown label {x!r}; expected one of {self.labels}") from None
 
     def coeff(self, x, y, z) -> int:
         """Multiplicity of z in x (x) y."""

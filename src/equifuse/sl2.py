@@ -47,12 +47,15 @@ class Sl2Data:
         self.dims = np.array([quantum_integer(i + 1, kappa) for i in idx])
         self.s = np.sqrt(2.0 / kappa) * np.sin(np.outer(idx + 1, idx + 1) * np.pi / kappa)
 
-        i, j, k = np.meshgrid(idx, idx, idx, indexing="ij")
+        # 1-D ranges broadcast against each other, so only the boolean
+        # conditions and n itself are full (delta+1)^3 arrays
+        i, j, k = np.ix_(idx, idx, idx)
+        i_plus_j = i + j
         allowed = (
-            ((i + j + k) % 2 == 0)
+            (i_plus_j % 2 == k % 2)
             & (np.abs(i - j) <= k)
-            & (k <= i + j)
-            & (k <= 2 * self.delta - (i + j))
+            & (k <= i_plus_j)
+            & (k <= 2 * self.delta - i_plus_j)
         )
         self.n = allowed.astype(np.int64)
 
@@ -63,9 +66,11 @@ class Sl2Data:
             raise ValueError(f"p+ p- should be real, got {prod!r}")
         self.big_d = math.sqrt(prod.real)
 
-    def _check_index(self, *indices: int) -> None:
+    def _check_index(self, *indices) -> None:
+        """Each index is an int or an integer array; all entries must be in range."""
         for i in indices:
-            if not 0 <= i <= self.delta:
+            lo, hi = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
+            if not (0 <= lo and hi <= self.delta):
                 raise ValueError(f"object index {i} outside 0..{self.delta}")
 
     def n_coeff(self, i: int, j: int, k: int) -> int:
@@ -94,9 +99,14 @@ class Sl2Data:
         """All Verlinde coefficients at once, shape (delta+1,)^3."""
         return np.einsum("ip,jp,kp->ijk", self.s, self.s, self.s / self.s[0])
 
-    def s_from_twists(self, i: int, j: int) -> complex:
+    def s_from_twists(self, i, j):
         """s[i, j] recomputed from ribbon data:
-        theta_i^-1 theta_j^-1 sum_k n[i*, j, k] theta_k d_k, divided by big_d."""
+        theta_i^-1 theta_j^-1 sum_k n[i*, j, k] theta_k d_k, divided by big_d.
+
+        i and j may also be index arrays that broadcast against each other;
+        the result is then a complex array of their broadcast shape."""
         self._check_index(i, j)
-        total = np.sum(self.n[self.dual(i), j] * self.twists * self.dims)
-        return complex(total / (self.twists[i] * self.twists[j]) / self.big_d)
+        # every simple is self-dual, so n[i*, j] is n[i, j]
+        total = np.sum(self.n[i, j] * self.twists * self.dims, axis=-1)
+        value = total / (self.twists[i] * self.twists[j]) / self.big_d
+        return value if isinstance(value, np.ndarray) else complex(value)

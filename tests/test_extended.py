@@ -233,3 +233,17 @@ def test_ext_vector_arithmetic():
     assert len(lam(0) - lam(0)) == 0
     w = lam(0) + 1j * alam(2)
     assert w.coeff(GradedLabel("X2", flipped=True)) == 1j
+
+
+def test_tensor_full_support_matches_dense_einsum():
+    ext = ExtData.build(8)
+    labels = ext.ring.labels
+    rng = np.random.default_rng(8)
+    coeffs = rng.uniform(-1, 1, len(labels)) + 1j * rng.uniform(-1, 1, len(labels))
+    f = ExtVector({GradedLabel(lab): c for lab, c in zip(labels, coeffs)})
+    want = np.einsum("a,b,abz->z", coeffs, coeffs, ext.ring.l)
+    got = ext.tensor(f, f)
+    assert all(not label.flipped for label in got.labels())
+    assert [got.coeff(GradedLabel(lab)) for lab in labels] == want.tolist()
+    # flipped terms on one side only annihilate
+    assert ext.tensor(f + alam(2), f).isclose(got)

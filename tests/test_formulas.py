@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from equifuse.arith import integer_residual
 from equifuse.errors import UnsupportedCaseError
-from equifuse.extended import ExtData
+from equifuse.extended import CHANGE_OF_BASIS, ExtData
 from equifuse.formulas import (
     check_coefficient_folding,
+    check_d_s_from_twists,
     check_diagonalization,
     check_ee_verlinde,
     check_ext_even,
@@ -218,3 +220,91 @@ def test_verify_all_over_tight_tolerance():
 def test_checks_expose_even_and_odd_formulas(ext):
     assert check_ext_even(ext, TOL).passed
     assert check_ext_odd(ext, TOL).passed
+
+
+# -- whole-block checks against per-triple loops of the point evaluators -------
+#
+# The loops below are the reference the block checks replaced; they must give
+# the same residual.
+
+
+def _scalar_oracle_residual(value: float, oracle: int) -> float:
+    nearest, _ = integer_residual(value)
+    residual = abs(value - oracle)
+    return max(residual, 0.5) if nearest != oracle else residual
+
+
+@pytest.fixture(scope="module", params=[2, 4, 6, 8])
+def ext_to_8(request):
+    return ExtData.build(request.param)
+
+
+@pytest.mark.parametrize(
+    "check, point, blocks",
+    [
+        (check_ee_verlinde, ee_verlinde_coeff, ("e", "e", "e")),
+        (check_ext_even, ext_coeff_e, ("e", "odd", "odd")),
+        (check_ext_odd, ext_coeff_a, ("odd", "odd", "e")),
+    ],
+)
+def test_block_check_equals_point_loop(ext_to_8, check, point, blocks):
+    ext = ext_to_8
+    labels = {"e": ext.e_labels, "odd": [f"X{j}" for j in ext.odd_classes]}
+    xs, ys, zs = (labels[b] for b in blocks)
+    want = max(
+        _scalar_oracle_residual(point(ext, x, y, z), ext.ring.coeff(x, y, z))
+        for x in xs
+        for y in ys
+        for z in zs
+    )
+    assert check(ext, TOL).max_residual == want
+
+
+def test_folded_sum_check_equals_point_loop(ext_to_8):
+    ext, span = ext_to_8, range(2 * ext_to_8.m + 1)
+    want = max(
+        abs(lhs - rhs)
+        for i in span[::2]
+        for j in span
+        for k in span
+        for lhs, rhs in [folded_sum_sides(ext, i, j, k)]
+    )
+    assert check_folded_sum(ext, TOL).max_residual == want
+
+
+def test_s_via_twists_check_equals_point_loop(ext_to_8):
+    d = ext_to_8.d
+    span = range(d.delta + 1)
+    want = max(abs(d.s_from_twists(i, j) - d.s[i, j]) for i in span for j in span)
+    # numpy divides complex scalars and complex arrays with different
+    # roundings, so the two routes may differ by a few units in the last place
+    assert abs(check_d_s_from_twists(d, TOL).max_residual - want) <= 4 * np.finfo(float).eps
+
+
+def test_s_from_twists_broadcasts(e2):
+    d = e2.d
+    idx = np.arange(d.delta + 1)
+    block = d.s_from_twists(idx[:, None], idx)
+    assert block.shape == (d.delta + 1, d.delta + 1)
+    assert block[2, 5] == d.s_from_twists(2, 5)
+    with pytest.raises(ValueError):
+        d.s_from_twists(idx + 1, 0)
+
+
+def test_diagonalization_images_match_per_image_products(ext_to_8):
+    """The left side equals the construction with one s_ee @ image per odd
+    basis element, the image read off the ring table coefficient by
+    coefficient."""
+    ext = ext_to_8
+    m, ring = ext.m, ext.ring
+    mix = np.eye(2 * m + 2)
+    mix[: 2 * m, : 2 * m] = np.kron(np.eye(m), CHANGE_OF_BASIS)
+    for i in ext.odd_classes:
+        cols = np.zeros((2 * m + 2, m))
+        for b, j in enumerate(ext.odd_classes):
+            image = np.array([ring.coeff(i, j, lab) for lab in ext.e_labels])
+            s_image = ext.s_ee @ image
+            cols[0 : 2 * m : 2, b] = s_image[:m]
+            cols[2 * m :, b] = s_image[m:]
+        lhs, _ = diagonalization_matrices(ext, i)
+        assert np.array_equal(lhs, mix @ cols)
