@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from .arith import EPS, integer_residual
-from .errors import UnsupportedCaseError
 from .extended import ExtData
 from .formulas import ext_coeff_a, ext_coeff_e, verify_all
 from .ring import TypeDRing
@@ -56,10 +55,7 @@ def _d_labels(delta: int) -> list[str]:
 
 
 def _cmd_table(args) -> int:
-    try:
-        ring = TypeDRing(args.m)
-    except UnsupportedCaseError as exc:
-        return _fail(str(exc))
+    ring = TypeDRing(args.m)
     if args.ring == "d":
         d = Sl2Data(ring.kappa)
         labels, tensor = _d_labels(d.delta), d.n
@@ -82,10 +78,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
-    try:
-        ext = ExtData.build(args.m)
-    except UnsupportedCaseError as exc:
-        return _fail(str(exc))
+    ext = ExtData.build(args.m)
     if args.which == "d":
         row_labels = col_labels = _d_labels(ext.d.delta)
         block = ext.d.s
@@ -113,14 +106,8 @@ def _cmd_smatrix(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    try:
-        ext = ExtData.build(args.m)
-    except UnsupportedCaseError as exc:
-        return _fail(str(exc))
-    try:
-        value = _evaluate_coeff(ext, args.formula, args.i, args.j, args.k)
-    except (ValueError, UnsupportedCaseError) as exc:
-        return _fail(str(exc))
+    ext = ExtData.build(args.m)
+    value = _evaluate_coeff(ext, args.formula, args.i, args.j, args.k)
     nearest, residual = integer_residual(value)
     if args.json:
         result = {
@@ -162,10 +149,7 @@ def _parse_d_index(token: str, delta: int) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = verify_all(args.m, tol=args.tol)
-    except UnsupportedCaseError as exc:
-        return _fail(str(exc))
+    report = verify_all(args.m, tol=args.tol)
     if args.json:
         results = [
             {
@@ -229,7 +213,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tol <= 0:
         return _fail("tolerance must be positive")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,11 @@ the odd classes are pinned to twice the corresponding sl2 entries.  The
 residual sign freedom of each flipped element is harmless: every formula
 evaluated here is quadratic in those pairings.
 
+Per-class data is read off the ring's `descent` map once per `ExtData`:
+the twists `thetas` (the split pair shares the middle one) and the basis map
+`basis_positions` from every valid graded label to its ring position, which
+vector operations validate their operands against.
+
 The change of basis to the convolution eigenbasis is the single 2x2 block
 `CHANGE_OF_BASIS`, acting on each (lambda_i, flipped_i) pair; its inverse is
 twice itself, and `diagonalization_matrices` in `formulas` builds its matrix
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EPS, gauss_sum_reciprocal, twist
+from .arith import EPS, gauss_sum_reciprocal
 from .errors import ConstructionError, InconsistencyError, UnsupportedCaseError
-from .ring import MINUS, PLUS, TypeDRing, canonical_label, require_even_m
+from .ring import TypeDRing, canonical_label, push_forward, require_even_m
 from .sl2 import Sl2Data
 
 _PRUNE = 1e-15  # coefficient noise floor for ExtVector storage
@@ -154,7 +159,7 @@ def exceptional_diag_via_twists(ext: "ExtData", tol: float = EPS) -> float:
     total = 0j
     for z in np.nonzero(row)[0]:
         total += row[z] * ext.theta_class(ring.labels[z]) * ring.dims[z]
-    value = total / twist(2 * ring.m, ring.kappa) ** 2 / ext.big_d_c
+    value = total / ext.thetas[ring.plus] ** 2 / ext.big_d_c
     if abs(value.imag) >= tol:
         raise InconsistencyError(f"twist-route entry is not real: {value!r}")
     return value.real
@@ -182,8 +187,9 @@ class ExtData:
     ring : TypeDRing
     d : Sl2Data
         The sl2 data at the same kappa.
-    e_labels : list of str
-        Basis order of the untwisted identity block: X0, X2, ..., X+, X-.
+    e_classes, e_labels : list of int, list of str
+        Ring positions and labels of the untwisted identity-block basis, in
+        its order: X0, X2, ..., X+, X-.
     fixed_classes : list of int
         Even classes fixed by the flip, i.e. those carrying a flipped
         partner: 0, 2, ..., 2m-2.
@@ -196,6 +202,14 @@ class ExtData:
     s_ea : (m, m) float array
         Pairings (s lambda_j, flipped_p) for odd j against fixed even p,
         equal to twice the sl2 entry.
+    s_ee_merged, s_folded : float arrays
+        Rows on the merged range: s_ee rows of the even classes with the
+        X+ and X- rows summed, and sl2 s rows pushed along the ring's `fold`.
+    thetas : complex array
+        Ribbon scalar of each class, the twist of its sl2 parent.
+    basis_positions : dict
+        Ring position of every valid GradedLabel: every class unflipped, and
+        flipped where the flip fixes the class.
     big_d_c : float
         Normalization of the quotient: half the sl2 one.
     """
@@ -209,17 +223,26 @@ class ExtData:
         self.kappa = ring.kappa
         self.fixed_classes = list(range(0, 2 * m, 2))
         self.odd_classes = list(range(1, 2 * m, 2))
-        self.e_labels = [f"X{i}" for i in self.fixed_classes] + [PLUS, MINUS]
+        self.e_classes = self.fixed_classes + [ring.plus, ring.minus]
+        self.e_labels = [ring.labels[x] for x in self.e_classes]
         self.e_index = {lab: a for a, lab in enumerate(self.e_labels)}
 
-        s, fixed = d.s, self.fixed_classes
-        ee = np.zeros((m + 2, m + 2))
-        ee[:m, :m] = 2.0 * s[np.ix_(fixed, fixed)]
-        ee[:m, m] = ee[:m, m + 1] = ee[m, :m] = ee[m + 1, :m] = s[2 * m, fixed]
-        ee[m, m] = ee[m + 1, m + 1] = exceptional_diag(m)
-        ee[m, m + 1] = ee[m + 1, m] = exceptional_cross(m)
+        # twice the sl2 entry of the parents, split evenly among the classes
+        # sharing a parent; the closed forms then fix the pair's own block
+        parents, shares = ring.descent[self.e_classes], ring.shares[self.e_classes]
+        ee = 2.0 * d.s[np.ix_(parents, parents)] / np.outer(shares, shares)
+        ee[m:, m:] = [[exceptional_diag(m), exceptional_cross(m)],
+                      [exceptional_cross(m), exceptional_diag(m)]]
         self.s_ee = ee
-        self.s_ea = 2.0 * s[np.ix_(self.odd_classes, fixed)]
+        self.s_ea = 2.0 * d.s[np.ix_(self.odd_classes, self.fixed_classes)]
+        self.s_ee_merged = push_forward(ee, parents // 2)
+        self.s_folded = push_forward(d.s, ring.fold)
+        self.thetas = d.twists[ring.descent]
+        self.basis_positions = {GradedLabel(lab): x for x, lab in enumerate(ring.labels)}
+        self.basis_positions.update(
+            {GradedLabel(ring.labels[x], flipped=True): x
+             for x in np.flatnonzero(ring.action == np.arange(ring.size)).tolist()}
+        )
         self.big_d_c = d.big_d / 2.0
 
         err = np.max(np.abs(ee @ ee.T - np.eye(m + 2)))
@@ -233,22 +256,27 @@ class ExtData:
 
     # -- label helpers ----------------------------------------------------
 
-    def _class_index(self, label: GradedLabel) -> int:
-        idx = self.ring.index(label.cls)
-        if label.flipped and idx >= 2 * self.m:
-            # the flip exchanges the split pair, so X+/X- have no flipped partner
-            raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")
-        return idx
+    def _position(self, label: GradedLabel) -> int:
+        """Class position of a basis label, through `basis_positions`."""
+        position = self.basis_positions.get(label)
+        if position is None:
+            if GradedLabel(label.cls) in self.basis_positions:
+                # the flip exchanges the split pair, so X+/X- have no flipped partner
+                raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")
+            raise ValueError(f"unknown class {label.cls!r}; expected one of {self.ring.labels}")
+        return position
+
+    def _untwisted_position(self, label: GradedLabel) -> int:
+        position = self._position(label)
+        if self.ring.sectors[position]:
+            raise UnsupportedCaseError(
+                f"{label.token()} sits in the twisted grading; operation not defined there"
+            )
+        return position
 
     def theta_class(self, x) -> complex:
         """Ribbon scalar of a class; the split pair inherits the middle one."""
-        idx = self.ring.index(x)
-        if idx >= 2 * self.m:
-            return twist(2 * self.m, self.kappa)
-        return twist(idx, self.kappa)
-
-    def class_dim(self, x) -> float:
-        return self.ring.qdim(x)
+        return complex(self.thetas[self.ring.index(x)])
 
     # -- algebra operations ------------------------------------------------
 
@@ -273,7 +301,7 @@ class ExtData:
         whether x has a flipped term.  Every label is validated."""
         positions, coeffs, flipped = [], [], False
         for label, c in x.items():
-            position = self._class_index(label)
+            position = self._position(label)
             if label.flipped:
                 flipped = True
             else:
@@ -285,25 +313,18 @@ class ExtData:
         """Convolution product on the untwisted grading.  Distinct classes
         annihilate; matching ones compose with the 1/dim normalization, and
         the flip flags add."""
+        x_positions = [self._untwisted_position(label) for label in x.labels()]
+        y_by_class: dict[int, list] = {}
+        for label, c in y.items():
+            y_by_class.setdefault(self._untwisted_position(label), []).append((label.flipped, c))
         out = ExtVector()
-        for lx, cx in x.items():
-            self._require_untwisted_grading(lx)
-            for ly, cy in y.items():
-                self._require_untwisted_grading(ly)
-                if lx.cls != ly.cls:
-                    continue
-                flipped = lx.flipped != ly.flipped
+        for position, (lx, cx) in zip(x_positions, x.items()):
+            for y_flipped, cy in y_by_class.get(position, ()):
                 out._accumulate(
-                    GradedLabel(lx.cls, flipped), cx * cy / self.class_dim(lx.cls)
+                    GradedLabel(lx.cls, lx.flipped != y_flipped),
+                    cx * cy / float(self.ring.dims[position]),
                 )
         return out
-
-    def _require_untwisted_grading(self, label: GradedLabel) -> None:
-        self._class_index(label)
-        if self.ring.sector(label.cls):
-            raise UnsupportedCaseError(
-                f"{label.token()} sits in the twisted grading; operation not defined there"
-            )
 
     def change_basis(self, x: ExtVector) -> ExtVector:
         """Change to the convolution eigenbasis: apply `CHANGE_OF_BASIS` on
@@ -319,10 +340,11 @@ class ExtData:
         """Apply a 2x2 block to the (unflipped, flipped) coefficients of
         each paired class; the split pair passes through."""
         block = block.tolist()
+        action = self.ring.action
         out = ExtVector()
         for label, c in x.items():
-            self._require_untwisted_grading(label)
-            if label.cls in (PLUS, MINUS):
+            position = self._untwisted_position(label)
+            if action[position] != position:  # the flip moves the class: no partner
                 out._accumulate(label, c)
                 continue
             column = int(label.flipped)
@@ -336,13 +358,14 @@ class ExtData:
         basis never fixes, so they are rejected."""
         out = ExtVector()
         for label, c in x.items():
-            self._require_untwisted_grading(label)
-            out._accumulate(label, c * self.theta_class(label.cls))
+            out._accumulate(label, c * self.thetas[self._untwisted_position(label)])
         return out
 
     def pair(self, x: ExtVector, y: ExtVector) -> complex:
         """Symmetric bilinear form; the chosen basis is orthonormal and
         distinct graded components pair to zero."""
+        for label in (*x.labels(), *y.labels()):
+            self._position(label)
         return sum(
             (cx * y.coeff(label) for label, cx in x.items()),
             start=0j,

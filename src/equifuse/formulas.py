@@ -24,7 +24,7 @@ from .extended import (
     exceptional_diag_via_twists,
     lam,
 )
-from .ring import TypeDRing
+from .ring import TypeDRing, push_forward
 from .sl2 import Sl2Data
 
 
@@ -81,16 +81,10 @@ def _a_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
     return ext.s_ea[pi] * ext.s_ea[pj] * ext.s_ee[pk, :m] / ext.s_ee[0, :m]
 
 
-def ee_verlinde_terms(ext: ExtData, x, y, z) -> np.ndarray:
-    """Summands of the Verlinde formula inside the untwisted identity block,
-    one per basis column (even classes then the split pair)."""
-    return _ee_terms(ext, _e_pos(ext, x), _e_pos(ext, y), _e_pos(ext, z))
-
-
 def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
     """Fusion coefficient of z in x (x) y for untwisted identity-block
-    labels, via the unitary block s-matrix."""
-    return float(np.sum(ee_verlinde_terms(ext, x, y, z)))
+    labels, via the unitary block s-matrix: one summand per basis column."""
+    return float(np.sum(_ee_terms(ext, _e_pos(ext, x), _e_pos(ext, y), _e_pos(ext, z))))
 
 
 def ext_coeff_e_terms(ext: ExtData, i, j, k) -> np.ndarray:
@@ -104,7 +98,7 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
     identity block and j, k share a sector.  For even j, k this is the plain
     block Verlinde formula; for odd j, k the sum runs over the flip-fixed
     even classes and uses the flipped-basis pairings."""
-    sj, sk = ext.ring.sector(j), ext.ring.sector(k)
+    sj, sk = (ext.ring.sectors[ext.ring.index(t)] for t in (j, k))
     if sj != sk:
         raise ValueError(f"j and k must share a sector, got {j!r} and {k!r}")
     if sj == 0:
@@ -132,14 +126,9 @@ def _e_pos(ext: ExtData, x) -> int:
 
 def _odd_pos(ext: ExtData, x) -> int:
     idx = ext.ring.index(x)
-    if idx >= 2 * ext.m or idx % 2 == 0:
+    if not ext.ring.sectors[idx]:
         raise ValueError(f"{x!r} is not an odd-sector label")
-    return (idx - 1) // 2
-
-
-def _e_classes(ext: ExtData) -> list[int]:
-    """Ring positions of the untwisted identity-block basis, in its order."""
-    return ext.fixed_classes + [ext.ring.plus, ext.ring.minus]
+    return idx // 2
 
 
 # -- identity checks on the sl2 side ----------------------------------------
@@ -234,16 +223,15 @@ def check_ring_unit_dual(ring: TypeDRing, tol: float) -> Check:
 
 
 def check_coefficient_folding(ring: TypeDRing, d: Sl2Data, tol: float) -> Check:
-    """Quotient multiplicities on the merged range against the folded sl2
-    ones: L = N[k] + N[delta-k] away from the middle slot, L = N[2m] at it.
+    """Quotient multiplicities on the merged range against the sl2 ones
+    pushed along the fold k -> min(k, delta-k): L = N[k] + N[delta-k] away
+    from the middle slot, L = N[2m] at it, which is its own mirror.
     Integer data on both sides, so the residual should be exactly zero."""
-    m, delta = ring.m, ring.delta
     merged = ring.combined_tensor()
-    sub = d.n[: 2 * m + 1, : 2 * m + 1]
-    expected = sub[:, :, : 2 * m] + sub[:, :, delta : delta - 2 * m : -1]
-    res = float(np.max(np.abs(merged[:, :, : 2 * m] - expected)))
-    res = max(res, float(np.max(np.abs(merged[:, :, 2 * m] - sub[:, :, 2 * m]))))
-    return Check("ring-coefficient-folding", f"m={m}", res, res < tol)
+    n = len(merged)
+    expected = push_forward(d.n[:n, :n], ring.fold, axis=2)
+    res = float(np.max(np.abs(merged - expected)))
+    return Check("ring-coefficient-folding", f"m={ring.m}", res, res < tol)
 
 
 # -- identity checks on the extended side ------------------------------------
@@ -268,7 +256,8 @@ def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     closed = exceptional_diag(m)
     r_twist = abs(exceptional_diag_via_twists(ext) - closed)
     r_gauss = abs(exceptional_diag_via_gauss(m) - closed)
-    r_sum = abs(closed + exceptional_cross(m) - ext.d.s[2 * m, 2 * m])
+    middle = ext.ring.descent[ext.ring.plus]
+    r_sum = abs(closed + exceptional_cross(m) - ext.d.s[middle, middle])
     return [
         Check("exc-twist-route", f"m={m}", r_twist, r_twist < tol),
         Check("exc-gauss-route", f"m={m}", r_gauss, r_gauss < tol),
@@ -288,7 +277,7 @@ def _oracle_residual(values: np.ndarray, oracle: np.ndarray) -> float:
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
     """Block Verlinde formula against the ring table for every triple of
     untwisted identity-block labels."""
-    e, e_ring = np.arange(ext.m + 2), _e_classes(ext)
+    e, e_ring = np.arange(ext.m + 2), ext.e_classes
     values = _ee_terms(ext, *np.ix_(e, e, e)).sum(axis=-1)
     res = _oracle_residual(values, ext.ring.l[np.ix_(e_ring, e_ring, e_ring)])
     return Check("c-ee-verlinde", f"m={ext.m}", res, res < tol)
@@ -300,7 +289,7 @@ def check_ext_even(ext: ExtData, tol: float) -> Check:
     e, odd = np.arange(ext.m + 2), np.arange(ext.m)
     values = _e_terms(ext, *np.ix_(e, odd, odd)).sum(axis=-1)
     odd_ring = ext.odd_classes
-    res = _oracle_residual(values, ext.ring.l[np.ix_(_e_classes(ext), odd_ring, odd_ring)])
+    res = _oracle_residual(values, ext.ring.l[np.ix_(ext.e_classes, odd_ring, odd_ring)])
     return Check("c-even-formula", f"m={ext.m}", res, res < tol)
 
 
@@ -310,7 +299,7 @@ def check_ext_odd(ext: ExtData, tol: float) -> Check:
     e, odd = np.arange(ext.m + 2), np.arange(ext.m)
     values = _a_terms(ext, *np.ix_(odd, odd, e)).sum(axis=-1)
     odd_ring = ext.odd_classes
-    res = _oracle_residual(values, ext.ring.l[np.ix_(odd_ring, odd_ring, _e_classes(ext))])
+    res = _oracle_residual(values, ext.ring.l[np.ix_(odd_ring, odd_ring, ext.e_classes)])
     return Check("c-odd-formula", f"m={ext.m}", res, res < tol)
 
 
@@ -338,7 +327,7 @@ def diagonalization_matrices(ext: ExtData, i: int) -> tuple[np.ndarray, np.ndarr
     # row b: s of the image of the b-th odd basis element under multiplication
     # by lambda_i, as a stack of matrix-vector products (a single matrix
     # product would round differently from one product per image)
-    images = ext.ring.l[ext.ring.index(i)][np.ix_(ext.odd_classes, _e_classes(ext))]
+    images = ext.ring.l[ext.ring.index(i)][np.ix_(ext.odd_classes, ext.e_classes)]
     s_images = (ext.s_ee @ images[..., None])[..., 0]
     lhs_cols = np.zeros((dim, m))
     lhs_cols[0 : 2 * m : 2] = s_images[:, :m].T  # lambda slots
@@ -372,7 +361,7 @@ def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
     zero."""
     res = 0.0
     for cls in ext.fixed_classes:
-        inv_dim = 1.0 / ext.class_dim(cls)
+        inv_dim = 1.0 / ext.ring.qdim(cls)
         alpha = ext.change_basis(lam(cls))
         beta = ext.change_basis(alam(cls))
         res = max(res, _vec_distance(ext.convolve(alpha, alpha), -inv_dim * alpha))
@@ -409,13 +398,12 @@ def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float
 def _folded_sum_at(ext: ExtData, i, j, k: np.ndarray, parity: int):
     """Both sides of the sum-transfer identity at merged-range indices that
     broadcast: i even, j of the given parity, k any."""
-    m, s, delta = ext.m, ext.d.s, ext.d.delta
-    middle = (k == 2 * m)[..., None]
-    rhs = np.sum(s[i] * s[j] * np.where(middle, s[2 * m], s[k] + s[delta - k]) / s[0], axis=-1)
+    m, s = ext.m, ext.d.s
+    rhs = np.sum(s[i] * s[j] * ext.s_folded[k] / s[0], axis=-1)
 
-    # pairings (s lambda_t, .) of even t over the identity-block basis, with
-    # the split pair merged at t = 2m
-    merged = np.vstack([ext.s_ee[:m], ext.s_ee[m] + ext.s_ee[m + 1]])
+    # pairings (s lambda_t, .) of even t over the identity-block basis come
+    # from s_ee_merged, with the split pair merged at t = 2m
+    merged = ext.s_ee_merged
     if parity:  # odd sector: columns are the flip-fixed even classes
         cols, rows_j, rows_k = m, ext.s_ea, ext.s_ea
     else:  # identity block: columns are its full basis; a single split element at k = 2m

@@ -4,6 +4,10 @@ Simple objects are X0..X{2m-1} together with the split pair X+, X- (the two
 halves into which the middle sl2 object breaks).  Only even m is supported;
 for odd m the pair is not self-dual and the seed table below does not apply.
 
+`TypeDRing.descent` names the sl2 object each class descends from (X_i from
+i, the split pair from the middle object 2m); the grading, the dimensions
+and the merged table `combined_tensor` are read off it.
+
 The full multiplication tensor is derived from the seed products by the
 degree-lowering recursion X_i = X_1*X_{i-1} - X_{i-2}.  Every intermediate
 multiplicity must stay a nonnegative integer, and the finished table must be
@@ -37,6 +41,16 @@ def canonical_label(x) -> str:
     raise ValueError(f"bad label {x!r}; expected an integer >= 0, 'X<i>', '+' or '-'")
 
 
+def push_forward(a: np.ndarray, to: np.ndarray, axis: int = 0) -> np.ndarray:
+    """out[t] = sum of the slices a[k] along `axis` with to[k] = t, added in
+    increasing k, so a lone slice is copied exactly."""
+    a = a.swapaxes(0, axis)
+    out = np.zeros((to.max() + 1,) + a.shape[1:], dtype=a.dtype)
+    for k, t in enumerate(to.tolist()):
+        out[t] += a[k]
+    return out.swapaxes(0, axis)
+
+
 def require_even_m(m: int) -> None:
     """The quotient exists only for even m >= 2 (8 divides delta = 4m)."""
     if m < 2 or m % 2:
@@ -54,10 +68,16 @@ class TypeDRing:
         ["X0", ..., "X{2m-1}", "X+", "X-"] in index order.
     l : (size, size, size) int array
         Multiplicities: x (x) y = sum_z l[x, y, z] * z.
+    descent : int array
+        Parent sl2 object of each class: [0, 1, ..., 2m-1, 2m, 2m].
+    fold : int array
+        Merged class min(k, delta - k) of each sl2 object k = 0..delta.
     sectors : int array
-        0 for the untwisted (even) part, 1 for the twisted (odd) part.
+        Parity of the parent: 0 untwisted (even), 1 twisted (odd).
+    shares : int array
+        Number of classes sharing each class's parent: 2 on the split pair.
     dims : float array
-        Quantum dimensions; the split pair carries half the middle one.
+        Quantum dimension of the parent over the share.
     action : int array
         Permutation realizing the order-two symmetry: fixes every X_i and
         exchanges X+ with X-.
@@ -75,11 +95,12 @@ class TypeDRing:
         self.labels = [f"X{i}" for i in range(n_plain)] + [PLUS, MINUS]
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
-        self.sectors = np.array([i % 2 for i in range(n_plain)] + [0, 0])
-        self.dims = np.array(
-            [quantum_integer(i + 1, self.kappa) for i in range(n_plain)]
-            + [quantum_integer(2 * m + 1, self.kappa) / 2.0] * 2
-        )
+        self.descent = np.array([*range(n_plain + 1), n_plain])  # X+ and X- share the middle
+        self.fold = np.minimum(np.arange(self.delta + 1), self.delta - np.arange(self.delta + 1))
+        self.sectors = self.descent % 2
+        self.shares = np.bincount(self.descent)[self.descent]
+        self.dims = np.array([quantum_integer(k + 1, self.kappa) for k in self.descent.tolist()])
+        self.dims /= self.shares
         self.action = np.arange(self.size)
         self.action[self.plus], self.action[self.minus] = self.minus, self.plus
 
@@ -91,17 +112,9 @@ class TypeDRing:
         l = np.zeros((self.size, self.size, self.size), dtype=np.int64)
         l[0] = np.eye(self.size, dtype=np.int64)
 
-        # Seed row: multiplication by X1.
-        r1 = np.zeros((self.size, self.size), dtype=np.int64)
-        r1[0, 1] = 1
-        for j in range(1, n_plain - 1):
-            r1[j, j - 1] = 1
-            r1[j, j + 1] = 1
-        r1[n_plain - 1, n_plain - 2] = 1
-        r1[n_plain - 1, self.plus] = 1
-        r1[n_plain - 1, self.minus] = 1
-        r1[self.plus, n_plain - 1] = 1
-        r1[self.minus, n_plain - 1] = 1
+        # Seed row: multiplication by X1 moves the parent one step up or down,
+        # so X1 (x) X_{2m-1} contains both halves of the split pair.
+        r1 = (np.abs(self.descent[:, None] - self.descent) == 1).astype(np.int64)
         l[1] = r1
 
         for i in range(2, n_plain):
@@ -114,9 +127,7 @@ class TypeDRing:
             l[i] = row
 
         # Products with the split pair: commuted rows plus the seeded squares.
-        for y in range(n_plain):
-            l[self.plus, y] = l[y, self.plus]
-            l[self.minus, y] = l[y, self.minus]
+        l[self.plus :, :n_plain] = l[:n_plain, self.plus :].swapaxes(0, 1)
         same = list(range(0, 2 * m - 3, 4))  # X0, X4, ..., X_{2m-4}
         cross = list(range(2, 2 * m - 1, 4))  # X2, X6, ..., X_{2m-2}
         l[self.plus, self.plus, same] = 1
@@ -168,29 +179,20 @@ class TypeDRing:
     def qdim(self, x) -> float:
         return float(self.dims[self.index(x)])
 
-    def sector(self, x) -> int:
-        return int(self.sectors[self.index(x)])
-
     def act(self, x) -> str:
         """Image of a label under the order-two symmetry."""
         return self.labels[self.action[self.index(x)]]
 
     def combined_tensor(self) -> np.ndarray:
         """Multiplication table on the merged range 0..2m, where index 2m
-        stands for the sum X+ + X-.
+        stands for the sum X+ + X-: the table pushed along `descent` on both
+        input slots.
 
         The coefficient at output slot 2m is the common multiplicity of X+
         and X-; products of merged inputs must weight the two halves equally
         or the merge is ill-defined.
         """
-        m = self.m
-        merged = np.zeros((2 * m + 1, self.size))
-        merged[: 2 * m, : 2 * m] = np.eye(2 * m)
-        merged[2 * m, self.plus] = merged[2 * m, self.minus] = 1
-        prod = np.einsum("ax,by,xyz->abz", merged, merged, self.l).astype(np.int64)
+        prod = push_forward(push_forward(self.l, self.descent), self.descent, axis=1)
         if not np.array_equal(prod[:, :, self.plus], prod[:, :, self.minus]):
             raise InconsistencyError("split-pair multiplicities are unbalanced")
-        out = np.zeros((2 * m + 1,) * 3, dtype=np.int64)
-        out[:, :, : 2 * m] = prod[:, :, : 2 * m]
-        out[:, :, 2 * m] = prod[:, :, self.plus]
-        return out
+        return prod[:, :, : self.plus + 1]  # X+ stands for the merged output slot

@@ -84,15 +84,11 @@ class Sl2Data:
         self._check_index(i)
         return float(self.dims[i])
 
-    def dual(self, i: int) -> int:
-        """Dual object index; every simple here is self-dual."""
-        self._check_index(i)
-        return i
-
     def verlinde_coeff(self, i: int, j: int, k: int) -> float:
-        """Verlinde formula sum_p s[i,p] s[j,p] s[k*,p] / s[0,p]."""
+        """Verlinde formula sum_p s[i,p] s[j,p] s[k*,p] / s[0,p]; every simple
+        is self-dual, so k* is k."""
         self._check_index(i, j, k)
-        row = self.s[i] * self.s[j] * self.s[self.dual(k)] / self.s[0]
+        row = self.s[i] * self.s[j] * self.s[k] / self.s[0]
         return float(np.sum(row))
 
     def verlinde_tensor(self) -> np.ndarray:

@@ -138,13 +138,13 @@ def test_tensor_double_flip_unsupported(e2):
 
 
 def test_convolution_rules(e2):
-    d2 = e2.class_dim("X2")
+    d2 = e2.ring.qdim("X2")
     assert e2.convolve(alam(2), alam(2)).isclose((1.0 / d2) * lam(2))
     assert len(e2.convolve(lam(0), lam(2))) == 0
     assert e2.convolve(lam(2), lam(2)).isclose((1.0 / d2) * lam(2))
     assert e2.convolve(lam(2), alam(2)).isclose((1.0 / d2) * alam(2))
     assert e2.convolve(alam(2), lam(2)).isclose((1.0 / d2) * alam(2))
-    dp = e2.class_dim("X+")
+    dp = e2.ring.qdim("X+")
     assert e2.convolve(lam("+"), lam("+")).isclose((1.0 / dp) * lam("+"))
     assert len(e2.convolve(lam("+"), lam("-"))) == 0
 
@@ -175,7 +175,7 @@ def test_change_basis_inverse_roundtrip(e2):
 
 def test_conv_eigenbasis_relations(ext):
     for cls in ext.fixed_classes:
-        inv_dim = 1.0 / ext.class_dim(cls)
+        inv_dim = 1.0 / ext.ring.qdim(cls)
         alpha = ext.change_basis(lam(cls))
         beta = ext.change_basis(alam(cls))
         assert ext.convolve(alpha, alpha).isclose(-inv_dim * alpha, tol=1e-15)

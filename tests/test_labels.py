@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from equifuse.cli import main
-from equifuse.extended import GradedLabel, lam
+from equifuse.errors import UnsupportedCaseError
+from equifuse.extended import ExtData, ExtVector, GradedLabel, alam, lam
 from equifuse.ring import TypeDRing, canonical_label
 
 SPELLINGS = {
@@ -72,3 +73,49 @@ def test_cli_rejects_bad_label(capsys, token, formula):
 def test_graded_label_parse_rejects_malformed_class():
     with pytest.raises(ValueError, match="label"):
         GradedLabel.parse("l:bad")
+
+
+# Vector operations validate every label of every operand through the basis
+# map: an unknown or non-canonical class is a ValueError, a flipped split-pair
+# element an UnsupportedCaseError.
+UNKNOWN = [GradedLabel("X99"), GradedLabel("X99", flipped=True), GradedLabel("3"), GradedLabel("+")]
+NO_PARTNER = [GradedLabel("X+", flipped=True), GradedLabel("X-", flipped=True)]
+VECTOR_OPS = {
+    "tensor": lambda ext, v: ext.tensor(v, lam(0)),
+    "tensor-right": lambda ext, v: ext.tensor(lam(0), v),
+    "convolve": lambda ext, v: ext.convolve(v, lam(0)),
+    "convolve-right": lambda ext, v: ext.convolve(lam(0), v),
+    "convolve-empty": lambda ext, v: ext.convolve(ExtVector(), v),
+    "change_basis": lambda ext, v: ext.change_basis(v),
+    "change_basis_inverse": lambda ext, v: ext.change_basis_inverse(v),
+    "twist_op": lambda ext, v: ext.twist_op(v),
+    "pair": lambda ext, v: ext.pair(v, v),
+    "pair-right": lambda ext, v: ext.pair(lam(0), v),
+}
+
+
+@pytest.fixture(scope="module")
+def e2():
+    return ExtData.build(2)
+
+
+@pytest.mark.parametrize("op", VECTOR_OPS)
+@pytest.mark.parametrize("label", UNKNOWN, ids=repr)
+def test_vector_ops_reject_unknown_class(e2, op, label):
+    with pytest.raises(ValueError, match="unknown class") as excinfo:
+        VECTOR_OPS[op](e2, ExtVector({label: 1.0}))
+    assert not isinstance(excinfo.value, UnsupportedCaseError)
+
+
+@pytest.mark.parametrize("op", VECTOR_OPS)
+@pytest.mark.parametrize("label", NO_PARTNER, ids=repr)
+def test_vector_ops_reject_flipped_split_pair(e2, op, label):
+    with pytest.raises(UnsupportedCaseError, match="no flipped basis element"):
+        VECTOR_OPS[op](e2, ExtVector({label: 1.0}))
+
+
+def test_pair_validates_labels(e2):
+    with pytest.raises(ValueError, match="unknown class"):
+        e2.pair(lam("X99"), lam("X99"))
+    with pytest.raises(UnsupportedCaseError):
+        e2.pair(alam("+"), alam("+"))
