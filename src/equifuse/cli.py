@@ -211,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        return _fail("tolerance must be positive")
+    if not 0 < args.tol < float("inf"):  # also false for NaN
+        return _fail("tolerance must be a finite positive number")
     try:
         return args.func(args)
     except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope

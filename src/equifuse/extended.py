@@ -123,9 +123,13 @@ class ExtVector:
     def __neg__(self) -> "ExtVector":
         return (-1.0) * self
 
+    def distance(self, other: "ExtVector") -> float:
+        """Largest coefficient gap to another vector; NaN if any gap is NaN."""
+        keys = self._terms.keys() | other._terms.keys()
+        return float(np.max([abs(self.coeff(k) - other.coeff(k)) for k in keys], initial=0.0))
+
     def isclose(self, other: "ExtVector", tol: float = EPS) -> bool:
-        keys = set(self._terms) | set(other._terms)
-        return all(abs(self.coeff(k) - other.coeff(k)) < tol for k in keys)
+        return self.distance(other) < tol
 
     def __repr__(self) -> str:
         parts = [f"{c:.6g}*{label.token()}" for label, c in sorted(

@@ -4,6 +4,10 @@ numerical identity checks behind `verify_all`.
 Every evaluator is checked against the integer fusion tables, which act as
 the oracle: a coefficient counts as reproduced only if it both rounds to the
 oracle integer and sits within tolerance of it.
+
+Every check follows one rule, written once in `_check`: it reports the
+largest absolute residual over all its parts and passes iff that is below
+the tolerance.  A NaN anywhere makes the residual NaN, so the check FAILs.
 """
 
 from __future__ import annotations
@@ -36,11 +40,6 @@ class Check:
     params: str
     max_residual: float
     passed: bool
-
-    def __post_init__(self):
-        # numpy scalars sneak in from array reductions; keep plain types
-        self.max_residual = float(self.max_residual)
-        self.passed = bool(self.passed)
 
 
 @dataclass
@@ -131,23 +130,41 @@ def _odd_pos(ext: ExtData, x) -> int:
     return idx // 2
 
 
+# -- the residual rule and the bodies shared by twin checks -------------------
+
+
+def _check(name: str, params: str, tol: float, *residuals) -> Check:
+    """The one place residuals become a pass or a fail: the largest absolute
+    entry over all parts, reduced with `np.max` so that a NaN propagates and
+    FAILs."""
+    res = float(np.max([np.max(np.abs(r)) for r in residuals]))
+    return Check(name, params, res, bool(res < tol))
+
+
+def _unitarity(s: np.ndarray) -> np.ndarray:
+    return s @ s.T - np.eye(len(s))
+
+
+def _associativity(t: np.ndarray) -> np.ndarray:
+    """(x y) z - x (y z) for a fusion tensor t[x, y, z], as a dense rank-4
+    array; the difference reuses the temporary of the left side."""
+    return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
+
+
 # -- identity checks on the sl2 side ----------------------------------------
 
 
 def check_d_unitary(d: Sl2Data, tol: float) -> Check:
-    res = float(np.max(np.abs(d.s @ d.s.T - np.eye(d.delta + 1))))
-    return Check("d-s-unitary", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-s-unitary", f"kappa={d.kappa}", tol, _unitarity(d.s))
 
 
 def check_d_symmetric(d: Sl2Data, tol: float) -> Check:
-    res = float(np.max(np.abs(d.s - d.s.T)))
-    return Check("d-s-symmetric", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-s-symmetric", f"kappa={d.kappa}", tol, d.s - d.s.T)
 
 
 def check_d_verlinde(d: Sl2Data, tol: float) -> Check:
     """Verlinde sums against the closed-form fusion tensor, all triples."""
-    res = float(np.max(np.abs(d.verlinde_tensor() - d.n)))
-    return Check("d-verlinde-closed-form", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-verlinde-closed-form", f"kappa={d.kappa}", tol, d.verlinde_tensor() - d.n)
 
 
 def check_d_modular_relation(d: Sl2Data, tol: float) -> Check:
@@ -155,15 +172,14 @@ def check_d_modular_relation(d: Sl2Data, tol: float) -> Check:
     st = d.s.astype(complex) * d.twists[None, :]
     lhs = st @ st @ st
     rhs = (d.p_plus / d.big_d) * (d.s @ d.s)
-    res = float(np.max(np.abs(lhs - rhs)))
-    return Check("d-modular-relation", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-modular-relation", f"kappa={d.kappa}", tol, lhs - rhs)
 
 
 def check_d_s_from_twists(d: Sl2Data, tol: float) -> Check:
     """The ribbon route to every s-entry against the sine closed form."""
     idx = np.arange(d.delta + 1)
-    res = float(np.max(np.abs(d.s_from_twists(idx[:, None], idx) - d.s)))
-    return Check("d-s-via-twists", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-s-via-twists", f"kappa={d.kappa}", tol,
+                  d.s_from_twists(idx[:, None], idx) - d.s)
 
 
 def check_d_folds(d: Sl2Data, tol: float) -> list[Check]:
@@ -173,53 +189,39 @@ def check_d_folds(d: Sl2Data, tol: float) -> list[Check]:
     s, delta = d.s, d.delta
     odd = np.arange(1, delta + 1, 2)
     even = np.arange(0, delta + 1, 2)
-    res_odd = float(np.max(np.abs(s[:, odd] + s[::-1][:, odd])))
-    res_even = float(np.max(np.abs(s[:, even] - s[::-1][:, even])))
-    res_mid = float(np.max(np.abs(s[delta // 2, odd])))
+    params = f"kappa={d.kappa}"
     return [
-        Check("d-fold-odd-columns", f"kappa={d.kappa}", res_odd, res_odd < tol),
-        Check("d-fold-even-columns", f"kappa={d.kappa}", res_even, res_even < tol),
-        Check("d-fold-middle-row", f"kappa={d.kappa}", res_mid, res_mid < tol),
+        _check("d-fold-odd-columns", params, tol, s[:, odd] + s[::-1][:, odd]),
+        _check("d-fold-even-columns", params, tol, s[:, even] - s[::-1][:, even]),
+        _check("d-fold-middle-row", params, tol, s[delta // 2, odd]),
     ]
 
 
 def check_d_n_associative(d: Sl2Data, tol: float) -> Check:
-    lhs = np.einsum("ijr,rkl->ijkl", d.n, d.n)
-    rhs = np.einsum("jkr,irl->ijkl", d.n, d.n)
-    res = float(np.max(np.abs(lhs - rhs)))
-    return Check("d-n-associative", f"kappa={d.kappa}", res, res < tol)
+    return _check("d-n-associative", f"kappa={d.kappa}", tol, _associativity(d.n))
 
 
 # -- identity checks on the ring side ----------------------------------------
 
 
 def check_ring_associative(ring: TypeDRing, tol: float) -> Check:
-    lhs = np.einsum("xyr,rzw->xyzw", ring.l, ring.l)
-    rhs = np.einsum("yzr,xrw->xyzw", ring.l, ring.l)
-    res = float(np.max(np.abs(lhs - rhs)))
-    return Check("ring-associative", f"m={ring.m}", res, res < tol)
+    return _check("ring-associative", f"m={ring.m}", tol, _associativity(ring.l))
 
 
 def check_ring_dimension_hom(ring: TypeDRing, tol: float) -> Check:
     """d(x) d(y) = sum_z L[x,y,z] d(z) for all pairs."""
-    lhs = np.outer(ring.dims, ring.dims)
-    rhs = ring.l @ ring.dims
-    res = float(np.max(np.abs(lhs - rhs)))
-    return Check("ring-dimension-hom", f"m={ring.m}", res, res < tol)
+    return _check("ring-dimension-hom", f"m={ring.m}", tol,
+                  np.outer(ring.dims, ring.dims) - ring.l @ ring.dims)
 
 
 def check_ring_flip_invariant(ring: TypeDRing, tol: float) -> Check:
     a = ring.action
-    res = float(np.max(np.abs(ring.l[np.ix_(a, a, a)] - ring.l)))
-    return Check("ring-flip-invariant", f"m={ring.m}", res, res < tol)
+    return _check("ring-flip-invariant", f"m={ring.m}", tol, ring.l[np.ix_(a, a, a)] - ring.l)
 
 
 def check_ring_unit_dual(ring: TypeDRing, tol: float) -> Check:
     eye = np.eye(ring.size, dtype=np.int64)
-    res = float(
-        max(np.max(np.abs(ring.l[0] - eye)), np.max(np.abs(ring.l[:, :, 0] - eye)))
-    )
-    return Check("ring-unit-dual", f"m={ring.m}", res, res < tol)
+    return _check("ring-unit-dual", f"m={ring.m}", tol, ring.l[0] - eye, ring.l[:, :, 0] - eye)
 
 
 def check_coefficient_folding(ring: TypeDRing, d: Sl2Data, tol: float) -> Check:
@@ -230,77 +232,72 @@ def check_coefficient_folding(ring: TypeDRing, d: Sl2Data, tol: float) -> Check:
     merged = ring.combined_tensor()
     n = len(merged)
     expected = push_forward(d.n[:n, :n], ring.fold, axis=2)
-    res = float(np.max(np.abs(merged - expected)))
-    return Check("ring-coefficient-folding", f"m={ring.m}", res, res < tol)
+    return _check("ring-coefficient-folding", f"m={ring.m}", tol, merged - expected)
 
 
 # -- identity checks on the extended side ------------------------------------
 
 
 def check_ext_unitary(ext: ExtData, tol: float) -> list[Check]:
-    ee, ea = ext.s_ee, ext.s_ea
-    res_u = float(np.max(np.abs(ee @ ee.T - np.eye(ext.m + 2))))
-    res_s = float(np.max(np.abs(ee - ee.T)))
-    res_a = float(np.max(np.abs(ea @ ea.T - np.eye(ext.m))))
+    ee, params = ext.s_ee, f"m={ext.m}"
     return [
-        Check("c-see-unitary", f"m={ext.m}", res_u, res_u < tol),
-        Check("c-see-symmetric", f"m={ext.m}", res_s, res_s < tol),
-        Check("c-sea-unitary", f"m={ext.m}", res_a, res_a < tol),
+        _check("c-see-unitary", params, tol, _unitarity(ee)),
+        _check("c-see-symmetric", params, tol, ee - ee.T),
+        _check("c-sea-unitary", params, tol, _unitarity(ext.s_ea)),
     ]
 
 
 def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     """Three independent evaluations of the split-pair diagonal entry, and
     the constraint that diagonal plus cross reproduce the sl2 middle entry."""
-    m = ext.m
+    m, params = ext.m, f"m={ext.m}"
     closed = exceptional_diag(m)
-    r_twist = abs(exceptional_diag_via_twists(ext) - closed)
-    r_gauss = abs(exceptional_diag_via_gauss(m) - closed)
     middle = ext.ring.descent[ext.ring.plus]
-    r_sum = abs(closed + exceptional_cross(m) - ext.d.s[middle, middle])
     return [
-        Check("exc-twist-route", f"m={m}", r_twist, r_twist < tol),
-        Check("exc-gauss-route", f"m={m}", r_gauss, r_gauss < tol),
-        Check("exc-pair-sum", f"m={m}", r_sum, r_sum < tol),
+        _check("exc-twist-route", params, tol, exceptional_diag_via_twists(ext) - closed),
+        _check("exc-gauss-route", params, tol, exceptional_diag_via_gauss(m) - closed),
+        _check("exc-pair-sum", params, tol,
+               closed + exceptional_cross(m) - ext.d.s[middle, middle]),
     ]
 
 
-def _oracle_residual(values: np.ndarray, oracle: np.ndarray) -> float:
-    """Largest residual against the oracle integers.  A value that rounds to
-    a different integer is at least 1/2 away, so a wrong coefficient can
-    never sneak under a tolerance; the floor keeps that explicit."""
+def _oracle_residual(values: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """Residuals against the oracle integers.  A value that rounds to a
+    different integer is at least 1/2 away, so a wrong coefficient can never
+    sneak under a tolerance; the floor keeps that explicit."""
     residual = np.abs(values - oracle)
     wrong = np.rint(values) != oracle
-    return float(np.max(np.where(wrong, np.maximum(residual, 0.5), residual)))
+    return np.where(wrong, np.maximum(residual, 0.5), residual)
+
+
+def _oracle_check(name: str, ext: ExtData, tol: float, terms, classes) -> Check:
+    """A block formula summed over every triple of the given ring classes
+    (one class list per slot, in block-position order) against the ring
+    table on the same triples."""
+    values = terms(ext, *np.ix_(*(range(len(c)) for c in classes))).sum(axis=-1)
+    oracle = ext.ring.l[np.ix_(*classes)]
+    return _check(name, f"m={ext.m}", tol, _oracle_residual(values, oracle))
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
     """Block Verlinde formula against the ring table for every triple of
     untwisted identity-block labels."""
-    e, e_ring = np.arange(ext.m + 2), ext.e_classes
-    values = _ee_terms(ext, *np.ix_(e, e, e)).sum(axis=-1)
-    res = _oracle_residual(values, ext.ring.l[np.ix_(e_ring, e_ring, e_ring)])
-    return Check("c-ee-verlinde", f"m={ext.m}", res, res < tol)
+    e = ext.e_classes
+    return _oracle_check("c-ee-verlinde", ext, tol, _ee_terms, (e, e, e))
 
 
 def check_ext_even(ext: ExtData, tol: float) -> Check:
     """Transfer formula with an identity-block left factor against the ring
     table, for every odd pair j, k."""
-    e, odd = np.arange(ext.m + 2), np.arange(ext.m)
-    values = _e_terms(ext, *np.ix_(e, odd, odd)).sum(axis=-1)
-    odd_ring = ext.odd_classes
-    res = _oracle_residual(values, ext.ring.l[np.ix_(ext.e_classes, odd_ring, odd_ring)])
-    return Check("c-even-formula", f"m={ext.m}", res, res < tol)
+    odd = ext.odd_classes
+    return _oracle_check("c-even-formula", ext, tol, _e_terms, (ext.e_classes, odd, odd))
 
 
 def check_ext_odd(ext: ExtData, tol: float) -> Check:
     """Transfer formula with two odd factors against the ring table, for
     every identity-block output."""
-    e, odd = np.arange(ext.m + 2), np.arange(ext.m)
-    values = _a_terms(ext, *np.ix_(odd, odd, e)).sum(axis=-1)
-    odd_ring = ext.odd_classes
-    res = _oracle_residual(values, ext.ring.l[np.ix_(odd_ring, odd_ring, ext.e_classes)])
-    return Check("c-odd-formula", f"m={ext.m}", res, res < tol)
+    odd = ext.odd_classes
+    return _oracle_check("c-odd-formula", ext, tol, _a_terms, (odd, odd, ext.e_classes))
 
 
 # -- diagonalization and the folded-sum identity ------------------------------
@@ -348,8 +345,7 @@ def check_diagonalization(ext: ExtData, tol: float) -> list[Check]:
     out = []
     for i in ext.odd_classes:
         lhs, rhs = diagonalization_matrices(ext, i)
-        res = float(np.max(np.abs(lhs - rhs)))
-        out.append(Check("c-diagonalization", f"m={ext.m} i={i}", res, res < tol))
+        out.append(_check("c-diagonalization", f"m={ext.m} i={i}", tol, lhs - rhs))
     out.append(check_conv_eigenbasis(ext, tol))
     return out
 
@@ -359,21 +355,18 @@ def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
     convolve to -+ 1/dim times themselves and annihilate each other.  The
     arithmetic only halves and doubles, so the residual should be exactly
     zero."""
-    res = 0.0
+    parts = []
     for cls in ext.fixed_classes:
         inv_dim = 1.0 / ext.ring.qdim(cls)
         alpha = ext.change_basis(lam(cls))
         beta = ext.change_basis(alam(cls))
-        res = max(res, _vec_distance(ext.convolve(alpha, alpha), -inv_dim * alpha))
-        res = max(res, _vec_distance(ext.convolve(beta, beta), inv_dim * beta))
-        res = max(res, _vec_distance(ext.convolve(alpha, beta), ExtVector()))
-        res = max(res, _vec_distance(ext.convolve(beta, alpha), ExtVector()))
-    return Check("c-conv-eigenbasis", f"m={ext.m}", res, res < tol)
-
-
-def _vec_distance(x: ExtVector, y: ExtVector) -> float:
-    keys = set(x.labels()) | set(y.labels())
-    return max((abs(x.coeff(k) - y.coeff(k)) for k in keys), default=0.0)
+        parts += [
+            ext.convolve(alpha, alpha).distance(-inv_dim * alpha),
+            ext.convolve(beta, beta).distance(inv_dim * beta),
+            ext.convolve(alpha, beta).distance(ExtVector()),
+            ext.convolve(beta, alpha).distance(ExtVector()),
+        ]
+    return _check("c-conv-eigenbasis", f"m={ext.m}", tol, *parts)
 
 
 def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float]:
@@ -417,12 +410,12 @@ def _folded_sum_at(ext: ExtData, i, j, k: np.ndarray, parity: int):
 
 def check_folded_sum(ext: ExtData, tol: float) -> Check:
     m = ext.m
-    res = 0.0
+    parts = []
     for parity in (0, 1):  # the branches sum over different column sets
         i, j, k = np.ix_(range(0, 2 * m + 1, 2), range(parity, 2 * m + 1, 2), range(2 * m + 1))
         lhs, rhs = _folded_sum_at(ext, i, j, k, parity)
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return Check("c-folded-sum", f"m={m}", res, res < tol)
+        parts.append(lhs - rhs)
+    return _check("c-folded-sum", f"m={m}", tol, *parts)
 
 
 # -- the full battery ---------------------------------------------------------

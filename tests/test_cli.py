@@ -124,6 +124,26 @@ def test_verify_rejects_bad_tolerance(capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify",),
+        ("table",),
+        ("smatrix", "--which", "d"),
+        ("coeff", "--i", "0", "--j", "0", "--k", "0"),
+    ],
+    ids=["verify", "table", "smatrix", "coeff"],
+)
+def test_rejects_non_finite_tolerance(capsys, command, tol):
+    # an infinite tolerance would pass every check, a NaN one fail every check;
+    # the "=" form keeps argparse from reading "-inf" as an option
+    code, out, err = run_cli(capsys, *command, "--m", "2", f"--tol={tol}", "--json")
+    assert code == 2
+    assert out == ""
+    assert "finite positive" in err
+
+
 def test_verify_json_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--m", "4", "--json")
     _, out2, _ = run_cli(capsys, "verify", "--m", "4", "--json")

@@ -5,7 +5,10 @@ from equifuse.arith import integer_residual
 from equifuse.errors import UnsupportedCaseError
 from equifuse.extended import CHANGE_OF_BASIS, ExtData
 from equifuse.formulas import (
+    Check,
+    _check,
     check_coefficient_folding,
+    check_conv_eigenbasis,
     check_d_s_from_twists,
     check_diagonalization,
     check_ee_verlinde,
@@ -215,6 +218,41 @@ def test_verify_all_over_tight_tolerance():
     # residuals of the trigonometric checks are tiny but not zero
     report = verify_all(2, tol=1e-300)
     assert not report.all_passed
+
+
+def test_verify_all_reports_plain_types():
+    for c in verify_all(2, tol=np.float64(1e-9)).checks:
+        assert type(c.passed) is bool, c
+        assert type(c.max_residual) is float, c
+
+
+# -- the residual rule: a NaN anywhere fails ------------------------------------
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_check_propagates_nan_from_any_part(position):
+    parts = [np.array([0.0, 1e-12]), np.array(2e-12), np.array([[0.0], [3e-12]])]
+    assert _check("x", "", 1e-9, *parts) == Check("x", "", 3e-12, True)
+    parts[position] = np.full_like(parts[position], np.nan)
+    c = _check("x", "", 1e-9, *parts)
+    assert np.isnan(c.max_residual)
+    assert c.passed is False
+
+
+def test_folded_sum_fails_on_nan():
+    ext = ExtData.build(4)
+    ext.s_ea[1, 1] = np.nan
+    c = check_folded_sum(ext, TOL)
+    assert np.isnan(c.max_residual)
+    assert not c.passed
+
+
+def test_conv_eigenbasis_fails_on_nan():
+    ext = ExtData.build(4)
+    ext.ring.dims[4] = np.nan
+    c = check_conv_eigenbasis(ext, TOL)
+    assert np.isnan(c.max_residual)
+    assert not c.passed
 
 
 def test_checks_expose_even_and_odd_formulas(ext):

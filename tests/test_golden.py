@@ -31,7 +31,7 @@ def test_table_json_digest(capsys, ring, m):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[ring, m]
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12])
 def test_verify_json_matches_golden(capsys, m):
     assert main(["verify", "--m", str(m), "--json"]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
