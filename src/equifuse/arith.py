@@ -16,6 +16,13 @@ EPS = 1e-9
 """Default tolerance for numerical identity checks."""
 
 
+def require_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol is a finite positive number: an infinite
+    tolerance would pass every check and a NaN one fail every check."""
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError("tolerance must be a finite positive number")
+
+
 def root_of_unity(kappa: int) -> complex:
     """Return q = exp(i*pi/kappa)."""
     if kappa < 3:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .arith import EPS, integer_residual
+from .arith import EPS, integer_residual, require_tolerance
 from .extended import ExtData
 from .formulas import ext_coeff_a, ext_coeff_e, verify_all
 from .ring import TypeDRing
@@ -211,9 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 0 < args.tol < float("inf"):  # also false for NaN
-        return _fail("tolerance must be a finite positive number")
     try:
+        require_tolerance(args.tol)
         return args.func(args)
     except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope
         return _fail(str(exc))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import EPS
+from .arith import EPS, require_tolerance
 from .extended import (
     CHANGE_OF_BASIS,
     ExtData,
@@ -147,8 +147,23 @@ def _unitarity(s: np.ndarray) -> np.ndarray:
 
 def _associativity(t: np.ndarray) -> np.ndarray:
     """(x y) z - x (y z) for a fusion tensor t[x, y, z], as a dense rank-4
-    array; the difference reuses the temporary of the left side."""
-    return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
+    float64 array, from two BLAS matrix products.
+
+    With rows = t viewed as an (a*a, a) matrix, the left side is
+    rows @ t[r, (k, l)], and the right side sum_r t[j, k, r] t[i, r, l] is
+    the stacked product rows @ t[i], which already lies in [i, (j, k), l]
+    order.  The entries are integers, so every partial sum is an integer of
+    size at most a * max|t|^2; below 2^53 the products are exact and equal
+    the integer contraction entry for entry.  Larger tables raise ValueError.
+    """
+    a = len(t)
+    if a * int(np.max(np.abs(t))) ** 2 >= 2**53:
+        raise ValueError(f"fusion tensor too large for exact float64 products (size {a})")
+    f = t.astype(np.float64)
+    rows = f.reshape(a * a, a)
+    lhs = (rows @ f.reshape(a, a * a)).reshape(a, a, a, a)
+    lhs -= np.matmul(rows, f).reshape(a, a, a, a)
+    return lhs
 
 
 # -- identity checks on the sl2 side ----------------------------------------
@@ -424,11 +439,13 @@ def check_folded_sum(ext: ExtData, tol: float) -> Check:
 def verify_all(m: int, tol: float = EPS) -> VerificationReport:
     """Run every identity check for one m and aggregate the outcomes.
 
-    Raises UnsupportedCaseError for odd m (from building the ring);
-    individual check failures never raise, they are recorded in the report.
-    The report is sorted by check name then parameters so repeated runs
-    compare byte for byte.
+    Raises ValueError for a tolerance that is not a finite positive number
+    and UnsupportedCaseError for odd m (from building the ring); individual
+    check failures never raise, they are recorded in the report.  The report
+    is sorted by check name then parameters so repeated runs compare byte
+    for byte.
     """
+    require_tolerance(tol)
     ext = ExtData.build(m)
     d, ring = ext.d, ext.ring
     report = VerificationReport(m=m, kappa=ext.kappa, tolerance=tol)

@@ -6,15 +6,18 @@ from equifuse.errors import UnsupportedCaseError
 from equifuse.extended import CHANGE_OF_BASIS, ExtData
 from equifuse.formulas import (
     Check,
+    _associativity,
     _check,
     check_coefficient_folding,
     check_conv_eigenbasis,
+    check_d_n_associative,
     check_d_s_from_twists,
     check_diagonalization,
     check_ee_verlinde,
     check_ext_even,
     check_ext_odd,
     check_folded_sum,
+    check_ring_associative,
     diagonalization_matrices,
     ee_verlinde_coeff,
     ext_coeff_a,
@@ -24,6 +27,8 @@ from equifuse.formulas import (
     folded_sum_sides,
     verify_all,
 )
+from equifuse.ring import TypeDRing
+from equifuse.sl2 import Sl2Data
 
 TOL = 1e-9
 
@@ -191,7 +196,7 @@ def test_folded_sum_rejects_odd_first_index(e2):
 # -- the full battery --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16])
 def test_verify_all_passes(m):
     report = verify_all(m, tol=TOL)
     assert report.all_passed, report.failures()
@@ -218,6 +223,13 @@ def test_verify_all_over_tight_tolerance():
     # residuals of the trigonometric checks are tiny but not zero
     report = verify_all(2, tol=1e-300)
     assert not report.all_passed
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_verify_all_rejects_bad_tolerance(tol):
+    # an infinite tolerance would pass every check, a NaN one fail every check
+    with pytest.raises(ValueError, match="finite positive"):
+        verify_all(2, tol=tol)
 
 
 def test_verify_all_reports_plain_types():
@@ -346,3 +358,38 @@ def test_diagonalization_images_match_per_image_products(ext_to_8):
             cols[2 * m :, b] = s_image[m:]
         lhs, _ = diagonalization_matrices(ext, i)
         assert np.array_equal(lhs, mix @ cols)
+
+
+# -- associativity: two float64 matrix products against the int64 einsum ---------
+
+
+def _einsum_associativity(t: np.ndarray) -> np.ndarray:
+    return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+@pytest.mark.parametrize("table", ["d.n", "ring.l"])
+def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
+    t = (ext_to_8.d.n if table == "d.n" else ext_to_8.ring.l).copy()
+    if corrupt:  # also breaks commutativity, so a swapped axis shows
+        t[1, 2, 3] += 1
+    got, want = _associativity(t), _einsum_associativity(t)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_associativity_checks_fail_on_corrupt_entry():
+    d, ring = Sl2Data(10), TypeDRing(2)
+    d.n[1, 1, 2] += 1  # V1 V1 gains a second V2
+    ring.l[1, 1, 2] += 1  # X1 X1 gains a second X2
+    for check, t in [(check_d_n_associative(d, TOL), d.n),
+                     (check_ring_associative(ring, TOL), ring.l)]:
+        assert check.passed is False
+        assert check.max_residual == np.max(np.abs(_einsum_associativity(t))) > 0
+
+
+def test_associativity_refuses_inexact_sizes():
+    # 2 * (2^26)^2 = 2^53: partial sums could leave the exact float64 range
+    with pytest.raises(ValueError, match="exact"):
+        _associativity(np.full((2, 2, 2), 2**26, dtype=np.int64))
+    assert not _associativity(np.full((2, 2, 2), 2**26 - 1, dtype=np.int64)).any()
