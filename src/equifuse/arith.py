@@ -51,12 +51,6 @@ def twist(i: int, kappa: int) -> complex:
     return q_power(i * (i + 2) / 2, kappa)
 
 
-def ribbon_squared(i: int, j: int, k: int, kappa: int) -> complex:
-    """Squared braiding eigenvalue theta_k/(theta_i*theta_j) on the
-    k-channel of the product of objects i and j."""
-    return twist(k, kappa) / (twist(i, kappa) * twist(j, kappa))
-
-
 def gauss_sum(a: int, b: int) -> complex:
     """Quadratic Gauss sum S(a, b) = sum_{p=1}^{b} exp(i*pi*a*p^2/b).
 

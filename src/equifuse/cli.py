@@ -140,12 +140,9 @@ def _evaluate_coeff(ext: ExtData, formula: str, i: str, j: str, k: str) -> float
 
 def _parse_d_index(token: str, delta: int) -> int:
     try:
-        value = int(token)
+        return int(token)  # Sl2Data.verlinde_coeff checks the range
     except ValueError:
         raise ValueError(f"sl2 labels are integers 0..{delta}, got {token!r}") from None
-    if not 0 <= value <= delta:
-        raise ValueError(f"sl2 label {value} outside 0..{delta}")
-    return value
 
 
 def _cmd_verify(args) -> int:

@@ -109,10 +109,7 @@ class ExtVector:
         return len(self._terms)
 
     def __add__(self, other: "ExtVector") -> "ExtVector":
-        out = ExtVector(self._terms)
-        for label, c in other.items():
-            out._accumulate(label, c)
-        return out
+        return ExtVector([*self.items(), *other.items()])
 
     def __sub__(self, other: "ExtVector") -> "ExtVector":
         return self + (-1.0) * other
@@ -159,10 +156,7 @@ def exceptional_diag_via_twists(ext: "ExtData", tol: float = EPS) -> float:
     theta_{2m}^(-2) * sum of theta * dim over the X+ (x) X+ decomposition,
     normalized by 1/D of the quotient.  Must be real."""
     ring = ext.ring
-    row = ring.l[ring.plus, ring.plus]
-    total = 0j
-    for z in np.nonzero(row)[0]:
-        total += row[z] * ext.theta_class(ring.labels[z]) * ring.dims[z]
+    total = ring.l[ring.plus, ring.plus] @ (ext.thetas * ring.dims)
     value = total / ext.thetas[ring.plus] ** 2 / ext.big_d_c
     if abs(value.imag) >= tol:
         raise InconsistencyError(f"twist-route entry is not real: {value!r}")
@@ -258,25 +252,24 @@ class ExtData:
         ring = TypeDRing(m)
         return cls(ring, Sl2Data(ring.kappa), tol=tol)
 
-    # -- label helpers ----------------------------------------------------
-
-    def _position(self, label: GradedLabel) -> int:
-        """Class position of a basis label, through `basis_positions`."""
-        position = self.basis_positions.get(label)
-        if position is None:
-            if GradedLabel(label.cls) in self.basis_positions:
-                # the flip exchanges the split pair, so X+/X- have no flipped partner
-                raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")
-            raise ValueError(f"unknown class {label.cls!r}; expected one of {self.ring.labels}")
-        return position
-
-    def _untwisted_position(self, label: GradedLabel) -> int:
-        position = self._position(label)
-        if self.ring.sectors[position]:
-            raise UnsupportedCaseError(
-                f"{label.token()} sits in the twisted grading; operation not defined there"
-            )
-        return position
+    def _terms(self, x: ExtVector, untwisted: bool = False) -> list:
+        """(label, class position, coefficient) for each term of x, every
+        label validated through `basis_positions`; with `untwisted`, terms
+        graded by the twisted sector are rejected as well."""
+        terms = []
+        for label, c in x.items():
+            position = self.basis_positions.get(label)
+            if position is None:
+                if GradedLabel(label.cls) in self.basis_positions:
+                    # the flip exchanges the split pair, so X+/X- have no flipped partner
+                    raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")
+                raise ValueError(f"unknown class {label.cls!r}; expected one of {self.ring.labels}")
+            if untwisted and self.ring.sectors[position]:
+                raise UnsupportedCaseError(
+                    f"{label.token()} sits in the twisted grading; operation not defined there"
+                )
+            terms.append((label, position, c))
+        return terms
 
     def theta_class(self, x) -> complex:
         """Ribbon scalar of a class; the split pair inherits the middle one."""
@@ -288,47 +281,34 @@ class ExtData:
         """Tensor product.  Mixed flip components multiply to zero; a product
         of two flipped elements needs twisted structure constants and is
         rejected."""
-        xs, cx, x_flipped = self._unflipped_support(x)
-        ys, cy, y_flipped = self._unflipped_support(y)
-        if x_flipped and y_flipped:
+        x_terms, y_terms = self._terms(x), self._terms(y)
+        xs, ys = ([(p, c) for label, p, c in t if not label.flipped] for t in (x_terms, y_terms))
+        if len(xs) < len(x_terms) and len(ys) < len(y_terms):
             raise UnsupportedCaseError(
                 "tensor product of two flipped elements is outside numeric scope"
             )
         if not (xs and ys):
             return ExtVector()
+        (px, cx), (py, cy) = zip(*xs), zip(*ys)
         ring = self.ring
-        out = np.einsum("a,b,abz->z", cx, cy, ring.l[np.ix_(xs, ys)])
+        out = np.einsum("a,b,abz->z", np.array(cx, dtype=complex), np.array(cy, dtype=complex),
+                        ring.l[np.ix_(px, py)])
         return ExtVector({GradedLabel(ring.labels[z]): out[z] for z in np.flatnonzero(out)})
-
-    def _unflipped_support(self, x: ExtVector) -> tuple[list[int], np.ndarray, bool]:
-        """Class positions and coefficients of the unflipped terms of x, and
-        whether x has a flipped term.  Every label is validated."""
-        positions, coeffs, flipped = [], [], False
-        for label, c in x.items():
-            position = self._position(label)
-            if label.flipped:
-                flipped = True
-            else:
-                positions.append(position)
-                coeffs.append(c)
-        return positions, np.array(coeffs, dtype=complex), flipped
 
     def convolve(self, x: ExtVector, y: ExtVector) -> ExtVector:
         """Convolution product on the untwisted grading.  Distinct classes
         annihilate; matching ones compose with the 1/dim normalization, and
         the flip flags add."""
-        x_positions = [self._untwisted_position(label) for label in x.labels()]
+        x_terms = self._terms(x, untwisted=True)
         y_by_class: dict[int, list] = {}
-        for label, c in y.items():
-            y_by_class.setdefault(self._untwisted_position(label), []).append((label.flipped, c))
-        out = ExtVector()
-        for position, (lx, cx) in zip(x_positions, x.items()):
-            for y_flipped, cy in y_by_class.get(position, ()):
-                out._accumulate(
-                    GradedLabel(lx.cls, lx.flipped != y_flipped),
-                    cx * cy / float(self.ring.dims[position]),
-                )
-        return out
+        for label, position, c in self._terms(y, untwisted=True):
+            y_by_class.setdefault(position, []).append((label.flipped, c))
+        dims = self.ring.dims
+        return ExtVector([
+            (GradedLabel(lx.cls, lx.flipped != y_flipped), cx * cy / float(dims[position]))
+            for lx, position, cx in x_terms
+            for y_flipped, cy in y_by_class.get(position, ())
+        ])
 
     def change_basis(self, x: ExtVector) -> ExtVector:
         """Change to the convolution eigenbasis: apply `CHANGE_OF_BASIS` on
@@ -345,32 +325,28 @@ class ExtData:
         each paired class; the split pair passes through."""
         block = block.tolist()
         action = self.ring.action
-        out = ExtVector()
-        for label, c in x.items():
-            position = self._untwisted_position(label)
+        out = []
+        for label, position, c in self._terms(x, untwisted=True):
             if action[position] != position:  # the flip moves the class: no partner
-                out._accumulate(label, c)
+                out.append((label, c))
                 continue
             column = int(label.flipped)
-            for row, flipped in enumerate((False, True)):
-                out._accumulate(GradedLabel(label.cls, flipped), block[row][column] * c)
-        return out
+            out += [(GradedLabel(label.cls, flipped), block[row][column] * c)
+                    for row, flipped in enumerate((False, True))]
+        return ExtVector(out)
 
     def twist_op(self, x: ExtVector) -> ExtVector:
         """Multiply each coefficient by the ribbon scalar of its class.
         Elements graded by the odd sector would need a scalar the chosen
         basis never fixes, so they are rejected."""
-        out = ExtVector()
-        for label, c in x.items():
-            out._accumulate(label, c * self.thetas[self._untwisted_position(label)])
-        return out
+        return ExtVector([
+            (label, c * self.thetas[position])
+            for label, position, c in self._terms(x, untwisted=True)
+        ])
 
     def pair(self, x: ExtVector, y: ExtVector) -> complex:
         """Symmetric bilinear form; the chosen basis is orthonormal and
         distinct graded components pair to zero."""
-        for label in (*x.labels(), *y.labels()):
-            self._position(label)
-        return sum(
-            (cx * y.coeff(label) for label, cx in x.items()),
-            start=0j,
-        )
+        x_terms = self._terms(x)
+        self._terms(y)  # validates y after x, so x decides which error is raised
+        return sum((c * y.coeff(label) for label, _, c in x_terms), start=0j)

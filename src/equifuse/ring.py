@@ -179,10 +179,6 @@ class TypeDRing:
     def qdim(self, x) -> float:
         return float(self.dims[self.index(x)])
 
-    def act(self, x) -> str:
-        """Image of a label under the order-two symmetry."""
-        return self.labels[self.action[self.index(x)]]
-
     def combined_tensor(self) -> np.ndarray:
         """Multiplication table on the merged range 0..2m, where index 2m
         stands for the sum X+ + X-: the table pushed along `descent` on both

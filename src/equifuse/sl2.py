@@ -28,8 +28,9 @@ class Sl2Data:
         Ribbon scalars theta_i = q^(i(i+2)/2).
     dims : float array
         Quantum dimensions d_i = [i+1].
-    n : (delta+1,)^3 int array
-        Fusion multiplicities, all 0 or 1.
+    n : (delta+1,)^3 int8 array
+        Fusion multiplicities, all 0 or 1; n[i, j, k] = 1 iff
+        |i-j| <= k <= i+j, k <= 2*delta - (i+j) and i+j+k is even.
     p_plus, p_minus : complex
         Sums of theta_i^(+-1) * d_i^2 over all simples.
     big_d : float
@@ -57,7 +58,7 @@ class Sl2Data:
             & (k <= i_plus_j)
             & (k <= 2 * self.delta - i_plus_j)
         )
-        self.n = allowed.astype(np.int64)
+        self.n = allowed.astype(np.int8)
 
         self.p_plus = complex(np.sum(self.twists * self.dims**2))
         self.p_minus = complex(np.sum(self.dims**2 / self.twists))
@@ -72,17 +73,6 @@ class Sl2Data:
             lo, hi = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
             if not (0 <= lo and hi <= self.delta):
                 raise ValueError(f"object index {i} outside 0..{self.delta}")
-
-    def n_coeff(self, i: int, j: int, k: int) -> int:
-        """Multiplicity of the k-th simple in i (x) j: 1 iff |i-j| <= k <= i+j,
-        k <= 2*delta - (i+j) and i+j+k is even."""
-        self._check_index(i, j, k)
-        return int(self.n[i, j, k])
-
-    def qdim(self, i: int) -> float:
-        """Quantum dimension d_i = [i+1] = s[0, i]/s[0, 0]."""
-        self._check_index(i)
-        return float(self.dims[i])
 
     def verlinde_coeff(self, i: int, j: int, k: int) -> float:
         """Verlinde formula sum_p s[i,p] s[j,p] s[k*,p] / s[0,p]; every simple

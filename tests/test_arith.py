@@ -12,7 +12,6 @@ from equifuse.arith import (
     integer_residual,
     q_power,
     quantum_integer,
-    ribbon_squared,
     root_of_unity,
     twist,
 )
@@ -72,14 +71,6 @@ def test_twist_range_errors():
         twist(-1, 10)
     with pytest.raises(ValueError):
         twist(9, 10)
-
-
-def test_ribbon_squared_values():
-    assert abs(ribbon_squared(0, 0, 0, 10) - 1.0) < TOL
-    assert abs(ribbon_squared(4, 4, 0, 10) - cmath.exp(-24j * math.pi / 10)) < TOL
-    assert abs(ribbon_squared(4, 4, 4, 10) - cmath.exp(-12j * math.pi / 10)) < TOL
-    with pytest.raises(ValueError):
-        ribbon_squared(0, 0, 99, 10)
 
 
 def test_gauss_sum_small_cases():

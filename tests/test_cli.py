@@ -110,6 +110,15 @@ def test_coeff_bad_label(capsys):
     assert "label" in err
 
 
+@pytest.mark.parametrize("token", ["99", "-1", "x"])
+def test_coeff_verlinde_bad_index(capsys, token):
+    code, out, err = run_cli(capsys, "coeff", "--m", "2", "--formula", "verlinde",
+                             "--i", token, "--j", "0", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--m", "2")
     assert code == 0
@@ -142,6 +151,11 @@ def test_rejects_non_finite_tolerance(capsys, command, tol):
     assert code == 2
     assert out == ""
     assert "finite positive" in err
+
+
+def test_verify_json_has_no_negative_zero(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--m", "2", "--json")
+    assert "-0.0" not in out
 
 
 def test_verify_json_deterministic(capsys):

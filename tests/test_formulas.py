@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,9 @@ def test_ee_verlinde_check(ext):
 
 def test_coefficient_folding_spots(e2):
     d, merged = e2.d, e2.ring.combined_tensor()
-    assert merged[2, 3, 1] == 1 == d.n_coeff(2, 3, 1) + d.n_coeff(2, 3, 7)
-    assert merged[2, 3, 3] == 2 == d.n_coeff(2, 3, 3) + d.n_coeff(2, 3, 5)
-    assert merged[1, 3, 4] == 1 == d.n_coeff(1, 3, 4)
+    assert merged[2, 3, 1] == 1 == d.n[2, 3, 1] + d.n[2, 3, 7]
+    assert merged[2, 3, 3] == 2 == d.n[2, 3, 3] + d.n[2, 3, 5]
+    assert merged[1, 3, 4] == 1 == d.n[1, 3, 4]
 
 
 def test_coefficient_folding_check(ext):
@@ -238,7 +240,7 @@ def test_verify_all_reports_plain_types():
         assert type(c.max_residual) is float, c
 
 
-# -- the residual rule: a NaN anywhere fails ------------------------------------
+# -- the residual rule: a NaN anywhere fails, no residual is negative ----------
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -249,6 +251,18 @@ def test_check_propagates_nan_from_any_part(position):
     c = _check("x", "", 1e-9, *parts)
     assert np.isnan(c.max_residual)
     assert c.passed is False
+
+
+def test_check_reports_largest_magnitude():
+    # a real part is reduced through its max and min, a complex one through abs
+    assert _check("x", "", 1e-9, np.array([-3.0, 1.0])).max_residual == 3.0
+    assert _check("x", "", 1e-9, np.array([1.0]), np.array([-4j, 2.0])).max_residual == 4.0
+
+
+def test_check_residuals_are_never_negative_zero():
+    # the golden test compares within 1e-14, so it cannot see a sign flip
+    for c in verify_all(4).checks:
+        assert math.copysign(1.0, c.max_residual) == 1.0, c
 
 
 def test_folded_sum_fails_on_nan():
@@ -364,6 +378,7 @@ def test_diagonalization_images_match_per_image_products(ext_to_8):
 
 
 def _einsum_associativity(t: np.ndarray) -> np.ndarray:
+    t = t.astype(np.int64)  # d.n is int8; the oracle sums in int64
     return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
 
 

@@ -15,26 +15,28 @@ def d10():
 
 def test_fusion_coeff_examples(d10):
     # 2 (x) 3 decomposes into 1, 3, 5 at delta = 8
-    assert [k for k in range(9) if d10.n_coeff(2, 3, k)] == [1, 3, 5]
+    assert [k for k in range(9) if d10.n[2, 3, k]] == [1, 3, 5]
     for j in range(9):
         for k in range(9):
-            assert d10.n_coeff(0, j, k) == (1 if j == k else 0)
-    assert d10.n_coeff(1, 1, 0) == 1
-    assert d10.n_coeff(1, 1, 2) == 1
-    assert d10.n_coeff(1, 1, 1) == 0
+            assert d10.n[0, j, k] == (1 if j == k else 0)
+    assert d10.n[1, 1, 0] == 1
+    assert d10.n[1, 1, 2] == 1
+    assert d10.n[1, 1, 1] == 0
 
 
 def test_fusion_coeff_truncation():
     d = Sl2Data(6)  # delta = 4
     # ordinary rule would give 4 in 3 (x) 3; the level cuts it at 2*delta-(i+j)
-    assert d.n_coeff(3, 3, 4) == 0
-    assert d.n_coeff(3, 3, 2) == 1
-    assert d.n_coeff(3, 3, 0) == 1
+    assert d.n[3, 3, 4] == 0
+    assert d.n[3, 3, 2] == 1
+    assert d.n[3, 3, 0] == 1
 
 
 def test_fusion_coeff_range_error(d10):
-    with pytest.raises(ValueError):
-        d10.n_coeff(0, 0, 9)
+    with pytest.raises(ValueError, match="outside 0..8"):
+        d10.verlinde_coeff(0, 0, 9)
+    with pytest.raises(ValueError, match="outside 0..8"):
+        d10.verlinde_coeff(-1, 0, 0)
 
 
 def test_s_matrix_values(d10):
@@ -45,10 +47,10 @@ def test_s_matrix_values(d10):
 
 
 def test_qdim_values(d10):
-    assert abs(d10.qdim(0) - 1.0) < TOL
-    assert abs(d10.qdim(8) - 1.0) < TOL
-    assert abs(d10.qdim(4) - 1.0 / math.sin(math.pi / 10)) < TOL
-    assert abs(d10.qdim(4) - 3.236068) < 1e-6
+    assert abs(d10.dims[0] - 1.0) < TOL
+    assert abs(d10.dims[8] - 1.0) < TOL
+    assert abs(d10.dims[4] - 1.0 / math.sin(math.pi / 10)) < TOL
+    assert abs(d10.dims[4] - 3.236068) < 1e-6
     # d_i = s[0, i]/s[0, 0]
     assert np.max(np.abs(d10.dims - d10.s[0] / d10.s[0, 0])) < TOL
 
@@ -125,10 +127,16 @@ def test_fold_symmetries(kappa):
 
 @pytest.mark.parametrize("kappa", [10, 18, 26])
 def test_n_tensor_associative(kappa):
-    d = Sl2Data(kappa)
-    lhs = np.einsum("ijr,rkl->ijkl", d.n, d.n)
-    rhs = np.einsum("jkr,irl->ijkl", d.n, d.n)
+    n = Sl2Data(kappa).n.astype(np.int64)
+    lhs = np.einsum("ijr,rkl->ijkl", n, n)
+    rhs = np.einsum("jkr,irl->ijkl", n, n)
     assert np.array_equal(lhs, rhs)
+
+
+def test_n_tensor_is_int8():
+    # n is all 0 and 1: int8 stores it in an eighth of int64's memory, and as a
+    # signed type, d.n - x cannot wrap around
+    assert Sl2Data(18).n.dtype == np.int8
 
 
 def test_n_tensor_is_zero_one_and_symmetric(d10):
