@@ -1,8 +1,7 @@
 """Fusion rules and modular data for quantum sl2 at a root of unity and for
 the extended Verlinde algebra of its type-D quotient."""
 
-from .arith import EPS, as_integer, gauss_sum, gauss_sum_reciprocal, quantum_integer
-from .arith import root_of_unity, twist
+from .arith import EPS, gauss_sum, gauss_sum_reciprocal, quantum_integer, twist
 from .errors import ConstructionError, InconsistencyError, UnsupportedCaseError
 from .extended import ExtData, ExtVector, GradedLabel, alam, exceptional_cross
 from .extended import exceptional_diag, exceptional_diag_via_gauss
@@ -35,7 +34,6 @@ __all__ = [
     "UnsupportedCaseError",
     "VerificationReport",
     "alam",
-    "as_integer",
     "ee_verlinde_coeff",
     "exceptional_cross",
     "exceptional_diag",
@@ -47,7 +45,6 @@ __all__ = [
     "gauss_sum_reciprocal",
     "lam",
     "quantum_integer",
-    "root_of_unity",
     "twist",
     "verify_all",
 ]

@@ -13,7 +13,7 @@ import cmath
 import math
 
 EPS = 1e-9
-"""Default tolerance for numerical identity checks."""
+"""Tolerance of every numerical guard; `verify_all` alone accepts another."""
 
 
 def require_tolerance(tol: float) -> None:
@@ -21,13 +21,6 @@ def require_tolerance(tol: float) -> None:
     tolerance would pass every check and a NaN one fail every check."""
     if not 0 < tol < math.inf:  # also false for NaN
         raise ValueError("tolerance must be a finite positive number")
-
-
-def root_of_unity(kappa: int) -> complex:
-    """Return q = exp(i*pi/kappa)."""
-    if kappa < 3:
-        raise ValueError(f"kappa must be at least 3, got {kappa}")
-    return q_power(1, kappa)
 
 
 def q_power(x: float, kappa: int) -> complex:
@@ -86,11 +79,3 @@ def integer_residual(value: complex) -> tuple[int, float]:
     c = complex(value)
     n = round(c.real)
     return n, abs(c - n)
-
-
-def as_integer(value: complex, tol: float = EPS) -> int:
-    """Round to the nearest integer, requiring the residual to be below tol."""
-    n, res = integer_residual(value)
-    if res >= tol:
-        raise ValueError(f"{value!r} is not an integer within {tol:g} (residual {res:.3e})")
-    return n

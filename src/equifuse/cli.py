@@ -5,7 +5,7 @@ Subcommands
 table    print a full fusion table (the quotient ring or the sl2 one)
 smatrix  print an s-matrix block with row/column labels
 coeff    evaluate one fusion coefficient by a chosen formula
-verify   run the whole identity battery; exit 0 iff everything passes
+verify   run the identity battery at --tol; exit 0 iff everything passes
 
 All numeric JSON output is rendered with 12 significant digits and sorted
 keys, so repeated runs are byte-identical.  Exit codes: 0 success, 1 at
@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from .arith import EPS, integer_residual, require_tolerance
-from .extended import ExtData
+from .arith import EPS, integer_residual
+from .extended import ExtData, GradedLabel
 from .formulas import ext_coeff_a, ext_coeff_e, verify_all
 from .ring import TypeDRing
 from .sl2 import Sl2Data
@@ -68,7 +68,7 @@ def _cmd_table(args) -> int:
     entries = list(zip(*names, tensor[nonzero].tolist()))
     if args.json:
         rows = [{"x": lx, "y": ly, "z": lz, "mult": mult} for lx, ly, lz, mult in entries]
-        _emit_json(args.m, ring.kappa, args.tol, rows)
+        _emit_json(args.m, ring.kappa, EPS, rows)
         return 0
     # no product of simples is zero, so every (x, y) pair has entries
     for (lx, ly), terms in itertools.groupby(entries, key=lambda e: e[:2]):
@@ -83,11 +83,11 @@ def _cmd_smatrix(args) -> int:
         row_labels = col_labels = _d_labels(ext.d.delta)
         block = ext.d.s
     elif args.which == "c-ee":
-        row_labels = col_labels = [f"l:{lab.removeprefix('X')}" for lab in ext.e_labels]
+        row_labels = col_labels = [GradedLabel(lab).token() for lab in ext.e_labels]
         block = ext.s_ee
     else:  # c-ea
-        row_labels = [f"l:{j}" for j in ext.odd_classes]
-        col_labels = [f"al:{p}" for p in ext.fixed_classes]
+        row_labels = [GradedLabel(ext.ring.labels[j]).token() for j in ext.odd_classes]
+        col_labels = [GradedLabel(ext.ring.labels[p], True).token() for p in ext.fixed_classes]
         block = ext.s_ea
 
     if args.json:
@@ -96,7 +96,7 @@ def _cmd_smatrix(args) -> int:
             for a, rl in enumerate(row_labels)
             for b, cl in enumerate(col_labels)
         ]
-        _emit_json(args.m, ext.kappa, args.tol, rows)
+        _emit_json(args.m, ext.kappa, EPS, rows)
         return 0
     width = max(len(lab) for lab in row_labels + col_labels) + 1
     print(" " * width + "  ".join(f"{lab:>10}" for lab in col_labels))
@@ -119,7 +119,7 @@ def _cmd_coeff(args) -> int:
             "nearest": nearest,
             "residual": residual,
         }
-        _emit_json(args.m, ext.kappa, args.tol, [result])
+        _emit_json(args.m, ext.kappa, EPS, [result])
         return 0
     print(f"{args.formula}({args.i}, {args.j}, {args.k}) = {value:.12g}"
           f"  [nearest {nearest}, residual {residual:.3e}]")
@@ -130,12 +130,11 @@ def _evaluate_coeff(ext: ExtData, formula: str, i: str, j: str, k: str) -> float
     if formula == "verlinde":
         di, dj, dk = (_parse_d_index(t, ext.d.delta) for t in (i, j, k))
         return ext.d.verlinde_coeff(di, dj, dk)
-    li, lj, lk = (ext.ring.labels[ext.ring.index(t)] for t in (i, j, k))
     if formula == "oracle":
-        return float(ext.ring.coeff(li, lj, lk))
+        return float(ext.ring.coeff(i, j, k))
     if formula == "ext-e":
-        return ext_coeff_e(ext, li, lj, lk)
-    return ext_coeff_a(ext, li, lj, lk)
+        return ext_coeff_e(ext, i, j, k)
+    return ext_coeff_a(ext, i, j, k)
 
 
 def _parse_d_index(token: str, delta: int) -> int:
@@ -176,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--m", type=int, required=True, help="half the middle index; must be even")
-        p.add_argument("--tol", type=float, default=EPS, help="numerical tolerance")
         p.add_argument("--json", action="store_true", help="emit deterministic JSON")
 
     p_table = sub.add_parser("table", help="print a fusion table")
@@ -201,6 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity battery")
     add_common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=EPS, help="tolerance of every check")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -209,7 +208,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        require_tolerance(args.tol)
         return args.func(args)
     except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope
         return _fail(str(exc))

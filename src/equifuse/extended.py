@@ -134,36 +134,37 @@ class ExtVector:
         return "ExtVector(" + " + ".join(parts) + ")" if parts else "ExtVector(0)"
 
 
+def _split_pair_entry(m: int, sign: float) -> float:
+    require_even_m(m)
+    return 0.5 * (math.sqrt(2.0 / (4 * m + 2)) + sign * (-1.0) ** (m // 2))
+
+
 def exceptional_diag(m: int) -> float:
     """Diagonal s-entry on the split pair, (s x+, x+) = (s x-, x-):
     (sqrt(2/kappa) + (-1)^(m/2)) / 2 with kappa = 4m + 2."""
-    require_even_m(m)
-    kappa = 4 * m + 2
-    return 0.5 * (math.sqrt(2.0 / kappa) + (-1.0) ** (m // 2))
+    return _split_pair_entry(m, 1.0)
 
 
 def exceptional_cross(m: int) -> float:
     """Off-diagonal s-entry on the split pair, (s x+, x-):
     (sqrt(2/kappa) - (-1)^(m/2)) / 2.  Together with the diagonal entry it
     sums to the sl2 entry s[2m, 2m] the pair descends from."""
-    require_even_m(m)
-    kappa = 4 * m + 2
-    return 0.5 * (math.sqrt(2.0 / kappa) - (-1.0) ** (m // 2))
+    return _split_pair_entry(m, -1.0)
 
 
-def exceptional_diag_via_twists(ext: "ExtData", tol: float = EPS) -> float:
+def exceptional_diag_via_twists(ext: "ExtData") -> float:
     """The diagonal split-pair entry recomputed from ribbon data:
     theta_{2m}^(-2) * sum of theta * dim over the X+ (x) X+ decomposition,
     normalized by 1/D of the quotient.  Must be real."""
     ring = ext.ring
     total = ring.l[ring.plus, ring.plus] @ (ext.thetas * ring.dims)
     value = total / ext.thetas[ring.plus] ** 2 / ext.big_d_c
-    if abs(value.imag) >= tol:
+    if abs(value.imag) >= EPS:
         raise InconsistencyError(f"twist-route entry is not real: {value!r}")
     return value.real
 
 
-def exceptional_diag_via_gauss(m: int, tol: float = EPS) -> float:
+def exceptional_diag_via_gauss(m: int) -> float:
     """The diagonal split-pair entry a third way: the alternating theta sum
     collapses to the quadratic Gauss sum S(8, kappa), which reciprocity
     evaluates from the eight-term S(kappa, 8).  Must be real."""
@@ -172,7 +173,7 @@ def exceptional_diag_via_gauss(m: int, tol: float = EPS) -> float:
     s8k = gauss_sum_reciprocal(8, kappa)
     unnormalized = (-1.0) ** m / (4.0 * math.sin(math.pi / kappa)) * (1.0 + 0.5 * s8k)
     value = unnormalized * 2.0 * math.sqrt(2.0 / kappa) * math.sin(math.pi / kappa)
-    if abs(value.imag) >= tol:
+    if abs(value.imag) >= EPS:
         raise InconsistencyError(f"Gauss-route entry is not real: {value!r}")
     return value.real
 
@@ -193,6 +194,9 @@ class ExtData:
         partner: 0, 2, ..., 2m-2.
     odd_classes : list of int
         1, 3, ..., 2m-1; the basis order of the odd-graded block.
+    block_rows : list of (int, int)
+        (sector, row) of each class in ring order: a row of s_ee in sector 0
+        (e_classes order), of s_ea in sector 1 (odd_classes order).
     s_ee : (m+2, m+2) float array
         Pairings (s lambda_x, lambda_y): twice the sl2 entry between even
         classes, the sl2 middle row against the split pair, and the
@@ -212,7 +216,7 @@ class ExtData:
         Normalization of the quotient: half the sl2 one.
     """
 
-    def __init__(self, ring: TypeDRing, d: Sl2Data, tol: float = EPS):
+    def __init__(self, ring: TypeDRing, d: Sl2Data):
         if ring.kappa != d.kappa:
             raise ValueError(f"kappa mismatch: ring has {ring.kappa}, sl2 data has {d.kappa}")
         self.ring = ring
@@ -223,7 +227,9 @@ class ExtData:
         self.odd_classes = list(range(1, 2 * m, 2))
         self.e_classes = self.fixed_classes + [ring.plus, ring.minus]
         self.e_labels = [ring.labels[x] for x in self.e_classes]
-        self.e_index = {lab: a for a, lab in enumerate(self.e_labels)}
+        blocks = (self.e_classes, self.odd_classes)  # sectors 0 and 1
+        rows = {x: (sector, row) for sector, b in enumerate(blocks) for row, x in enumerate(b)}
+        self.block_rows = [rows[x] for x in range(ring.size)]
 
         # twice the sl2 entry of the parents, split evenly among the classes
         # sharing a parent; the closed forms then fix the pair's own block
@@ -244,13 +250,13 @@ class ExtData:
         self.big_d_c = d.big_d / 2.0
 
         err = np.max(np.abs(ee @ ee.T - np.eye(m + 2)))
-        if err >= tol:
+        if err >= EPS:
             raise ConstructionError(f"assembled block is not unitary (residual {err:.3e})")
 
     @classmethod
-    def build(cls, m: int, tol: float = EPS) -> "ExtData":
+    def build(cls, m: int) -> "ExtData":
         ring = TypeDRing(m)
-        return cls(ring, Sl2Data(ring.kappa), tol=tol)
+        return cls(ring, Sl2Data(ring.kappa))
 
     def _terms(self, x: ExtVector, untwisted: bool = False) -> list:
         """(label, class position, coefficient) for each term of x, every
@@ -260,6 +266,8 @@ class ExtData:
         for label, c in x.items():
             position = self.basis_positions.get(label)
             if position is None:
+                if not isinstance(label, GradedLabel):
+                    raise ValueError(f"vector key {label!r} is not a GradedLabel")
                 if GradedLabel(label.cls) in self.basis_positions:
                     # the flip exchanges the split pair, so X+/X- have no flipped partner
                     raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")
@@ -270,10 +278,6 @@ class ExtData:
                 )
             terms.append((label, position, c))
         return terms
-
-    def theta_class(self, x) -> complex:
-        """Ribbon scalar of a class; the split pair inherits the middle one."""
-        return complex(self.thetas[self.ring.index(x)])
 
     # -- algebra operations ------------------------------------------------
 

@@ -83,13 +83,14 @@ def _a_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
 def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
     """Fusion coefficient of z in x (x) y for untwisted identity-block
     labels, via the unitary block s-matrix: one summand per basis column."""
-    return float(np.sum(_ee_terms(ext, _e_pos(ext, x), _e_pos(ext, y), _e_pos(ext, z))))
+    px, py, pz = _block_pos(ext, x, 0), _block_pos(ext, y, 0), _block_pos(ext, z, 0)
+    return float(np.sum(_ee_terms(ext, px, py, pz)))
 
 
 def ext_coeff_e_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands of the transfer formula for i in the untwisted identity
     block and j, k odd; columns run over the flip-fixed even classes."""
-    return _e_terms(ext, _e_pos(ext, i), _odd_pos(ext, j), _odd_pos(ext, k))
+    return _e_terms(ext, _block_pos(ext, i, 0), _block_pos(ext, j, 1), _block_pos(ext, k, 1))
 
 
 def ext_coeff_e(ext: ExtData, i, j, k) -> float:
@@ -107,7 +108,7 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
 
 def ext_coeff_a_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands for i, j odd and k in the untwisted identity block."""
-    return _a_terms(ext, _odd_pos(ext, i), _odd_pos(ext, j), _e_pos(ext, k))
+    return _a_terms(ext, _block_pos(ext, i, 1), _block_pos(ext, j, 1), _block_pos(ext, k, 0))
 
 
 def ext_coeff_a(ext: ExtData, i, j, k) -> float:
@@ -116,18 +117,13 @@ def ext_coeff_a(ext: ExtData, i, j, k) -> float:
     return float(np.sum(ext_coeff_a_terms(ext, i, j, k)))
 
 
-def _e_pos(ext: ExtData, x) -> int:
-    position = ext.e_index.get(ext.ring.labels[ext.ring.index(x)])
-    if position is None:
-        raise ValueError(f"{x!r} is not an untwisted identity-block label")
-    return position
-
-
-def _odd_pos(ext: ExtData, x) -> int:
-    idx = ext.ring.index(x)
-    if not ext.ring.sectors[idx]:
-        raise ValueError(f"{x!r} is not an odd-sector label")
-    return idx // 2
+def _block_pos(ext: ExtData, x, sector: int) -> int:
+    """Row of class x in the s-block of `sector`: 0 for s_ee rows, 1 for s_ea rows."""
+    x_sector, row = ext.block_rows[ext.ring.index(x)]
+    if x_sector != sector:
+        kind = "an odd-sector" if sector else "an untwisted identity-block"
+        raise ValueError(f"{x!r} is not {kind} label")
+    return row
 
 
 # -- the residual rule and the bodies shared by twin checks -------------------
@@ -333,7 +329,7 @@ def diagonalization_matrices(ext: ExtData, i: int) -> tuple[np.ndarray, np.ndarr
     reaches), applied after the change of basis.
     """
     m = ext.m
-    i_pos = _odd_pos(ext, i)
+    i_pos = _block_pos(ext, i, 1)
     dim = 2 * m + 2  # m pairs then the split pair
 
     mix = np.eye(dim)
@@ -375,7 +371,7 @@ def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
     zero."""
     parts = []
     for cls in ext.fixed_classes:
-        inv_dim = 1.0 / ext.ring.qdim(cls)
+        inv_dim = 1.0 / ext.ring.dims[cls]
         alpha = ext.change_basis(lam(cls))
         beta = ext.change_basis(alam(cls))
         parts += [

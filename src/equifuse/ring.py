@@ -176,9 +176,6 @@ class TypeDRing:
         row = self.l[self.index(x), self.index(y)]
         return {self.labels[z]: int(row[z]) for z in np.nonzero(row)[0]}
 
-    def qdim(self, x) -> float:
-        return float(self.dims[self.index(x)])
-
     def combined_tensor(self) -> np.ndarray:
         """Multiplication table on the merged range 0..2m, where index 2m
         stands for the sum X+ + X-: the table pushed along `descent` on both

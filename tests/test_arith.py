@@ -6,35 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equifuse.arith import (
-    as_integer,
     gauss_sum,
     gauss_sum_reciprocal,
     integer_residual,
     q_power,
     quantum_integer,
-    root_of_unity,
     twist,
 )
 
 TOL = 1e-9
 
 
-def test_root_of_unity_rejects_small_kappa():
+def test_q_power_rejects_small_kappa():
     with pytest.raises(ValueError):
-        root_of_unity(2)
+        q_power(1, 2)
     with pytest.raises(ValueError):
-        root_of_unity(0)
+        q_power(1, 0)
 
 
-def test_root_of_unity_values():
-    q = root_of_unity(10)
+def test_q_power_one_values():
+    q = q_power(1, 10)
     assert abs(q - complex(math.cos(math.pi / 10), math.sin(math.pi / 10))) < TOL
-    assert abs(root_of_unity(4) - (math.sqrt(2) / 2) * (1 + 1j)) < TOL
+    assert abs(q_power(1, 4) - (math.sqrt(2) / 2) * (1 + 1j)) < TOL
 
 
 @pytest.mark.parametrize("kappa", range(3, 40))
-def test_root_of_unity_is_unimodular(kappa):
-    assert abs(abs(root_of_unity(kappa)) - 1.0) < TOL
+def test_q_power_one_is_unimodular(kappa):
+    assert abs(abs(q_power(1, kappa)) - 1.0) < TOL
 
 
 def test_quantum_integer_values():
@@ -112,12 +110,11 @@ def test_gauss_reciprocal_preconditions():
 def test_integer_recovery():
     n, res = integer_residual(2.0000000001 + 1e-12j)
     assert n == 2 and res < 1e-9
-    assert as_integer(3.0) == 3
-    assert as_integer(-1.9999999999) == -2
-    with pytest.raises(ValueError):
-        as_integer(2.5)
-    with pytest.raises(ValueError):
-        as_integer(1 + 0.1j)
+    assert integer_residual(3.0) == (3, 0.0)
+    n, res = integer_residual(-1.9999999999)
+    assert n == -2 and res < TOL
+    assert integer_residual(2.5)[1] >= TOL
+    assert integer_residual(1 + 0.1j)[1] >= TOL
 
 
 def test_q_power_is_phase():

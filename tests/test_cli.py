@@ -66,6 +66,20 @@ def test_smatrix_c_ea_values(capsys):
     assert entries[("l:3", "al:0")] == pytest.approx([0.850651, 0.0], abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "which, rows, cols",
+    [
+        ("c-ee", ["l:0", "l:2", "l:+", "l:-"], ["l:0", "l:2", "l:+", "l:-"]),
+        ("c-ea", ["l:1", "l:3"], ["al:0", "al:2"]),
+    ],
+)
+def test_smatrix_labels(capsys, which, rows, cols):
+    code, out, _ = run_cli(capsys, "smatrix", "--m", "2", "--which", which, "--json")
+    assert code == 0
+    entries = json.loads(out)["results"]
+    assert [(r["row"], r["col"]) for r in entries] == [(r, c) for r in rows for c in cols]
+
+
 def test_smatrix_bad_block(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["smatrix", "--m", "2", "--which", "c-aa"])
@@ -146,11 +160,19 @@ def test_verify_rejects_bad_tolerance(capsys):
 )
 def test_rejects_non_finite_tolerance(capsys, command, tol):
     # an infinite tolerance would pass every check, a NaN one fail every check;
-    # the "=" form keeps argparse from reading "-inf" as an option
-    code, out, err = run_cli(capsys, *command, "--m", "2", f"--tol={tol}", "--json")
+    # the "=" form keeps argparse from reading "-inf" as an option.  Only
+    # verify takes --tol; the other commands reject the option itself.
+    argv = [*command, "--m", "2", f"--tol={tol}", "--json"]
+    if command[0] == "verify":
+        code, out, err = run_cli(capsys, *argv)
+        assert "finite positive" in err
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        code, (out, err) = excinfo.value.code, capsys.readouterr()
+        assert "unrecognized arguments: --tol" in err
     assert code == 2
     assert out == ""
-    assert "finite positive" in err
 
 
 def test_verify_json_has_no_negative_zero(capsys):

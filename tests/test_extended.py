@@ -138,13 +138,13 @@ def test_tensor_double_flip_unsupported(e2):
 
 
 def test_convolution_rules(e2):
-    d2 = e2.ring.qdim("X2")
+    d2 = e2.ring.dims[e2.ring.index("X2")]
     assert e2.convolve(alam(2), alam(2)).isclose((1.0 / d2) * lam(2))
     assert len(e2.convolve(lam(0), lam(2))) == 0
     assert e2.convolve(lam(2), lam(2)).isclose((1.0 / d2) * lam(2))
     assert e2.convolve(lam(2), alam(2)).isclose((1.0 / d2) * alam(2))
     assert e2.convolve(alam(2), lam(2)).isclose((1.0 / d2) * alam(2))
-    dp = e2.ring.qdim("X+")
+    dp = e2.ring.dims[e2.ring.index("X+")]
     assert e2.convolve(lam("+"), lam("+")).isclose((1.0 / dp) * lam("+"))
     assert len(e2.convolve(lam("+"), lam("-"))) == 0
 
@@ -175,7 +175,7 @@ def test_change_basis_inverse_roundtrip(e2):
 
 def test_conv_eigenbasis_relations(ext):
     for cls in ext.fixed_classes:
-        inv_dim = 1.0 / ext.ring.qdim(cls)
+        inv_dim = 1.0 / ext.ring.dims[cls]
         alpha = ext.change_basis(lam(cls))
         beta = ext.change_basis(alam(cls))
         assert ext.convolve(alpha, alpha).isclose(-inv_dim * alpha, tol=1e-15)
@@ -189,7 +189,7 @@ def test_twist_operator(e2):
     theta2 = cmath.exp(4j * math.pi / 10)
     assert e2.twist_op(lam(2)).isclose(theta2 * lam(2))
     assert e2.twist_op(alam(2)).isclose(theta2 * alam(2))
-    theta_mid = e2.theta_class("X+")
+    theta_mid = e2.thetas[e2.ring.index("X+")]
     assert e2.twist_op(lam("+")).isclose(theta_mid * lam("+"))
     with pytest.raises(UnsupportedCaseError):
         e2.twist_op(lam(1))

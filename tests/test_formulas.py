@@ -65,11 +65,6 @@ def test_ext_coeff_e_unit_row(e2):
             assert abs(ext_coeff_e(e2, 0, j, k) - want) < TOL
 
 
-def test_ext_coeff_e_sector_mismatch(e2):
-    with pytest.raises(ValueError):
-        ext_coeff_e(e2, 0, 1, 2)
-
-
 def test_ext_coeff_e_even_branch_routes_to_block_formula(e2):
     assert ext_coeff_e(e2, 2, 2, "+") == ee_verlinde_coeff(e2, 2, 2, "+")
 
@@ -111,9 +106,30 @@ def test_ext_coeff_a_exhaustive(ext):
                 assert abs(value - ring.coeff(i, j, k)) < TOL
 
 
-def test_ext_coeff_a_rejects_even_input(e2):
-    with pytest.raises(ValueError):
-        ext_coeff_a(e2, 2, 1, 0)
+IDENTITY_BLOCK = "not an untwisted identity-block label"
+ODD_SECTOR = "not an odd-sector label"
+
+
+@pytest.mark.parametrize(
+    "evaluator, args, message",
+    [
+        (ee_verlinde_coeff, (1, 2, "+"), IDENTITY_BLOCK),
+        (ee_verlinde_coeff, (2, 1, "+"), IDENTITY_BLOCK),
+        (ee_verlinde_coeff, (2, "+", 1), IDENTITY_BLOCK),
+        (ext_coeff_e, (1, 1, 3), IDENTITY_BLOCK),
+        # j and k are compared with each other before either row is read
+        (ext_coeff_e, (0, 2, 3), "share a sector"),
+        (ext_coeff_e, (0, 1, 2), "share a sector"),
+        (ext_coeff_a, (2, 1, 0), ODD_SECTOR),
+        (ext_coeff_a, (1, "+", 0), ODD_SECTOR),
+        (ext_coeff_a, (1, 3, 3), IDENTITY_BLOCK),
+    ],
+    ids=[f"{f}-slot{n}" for f in ("ee_verlinde_coeff", "ext_coeff_e", "ext_coeff_a")
+         for n in (1, 2, 3)],
+)
+def test_evaluators_reject_wrong_sector_in_each_slot(e2, evaluator, args, message):
+    with pytest.raises(ValueError, match=message):
+        evaluator(e2, *args)
 
 
 # -- block Verlinde formula ----------------------------------------------------

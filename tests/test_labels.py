@@ -76,9 +76,10 @@ def test_graded_label_parse_rejects_malformed_class():
 
 
 # Vector operations validate every label of every operand through the basis
-# map: an unknown or non-canonical class is a ValueError, a flipped split-pair
-# element an UnsupportedCaseError.
+# map: an unknown or non-canonical class, or a key that is not a GradedLabel,
+# is a ValueError, a flipped split-pair element an UnsupportedCaseError.
 UNKNOWN = [GradedLabel("X99"), GradedLabel("X99", flipped=True), GradedLabel("3"), GradedLabel("+")]
+NOT_A_LABEL = ["X2", ("X2", False)]
 NO_PARTNER = [GradedLabel("X+", flipped=True), GradedLabel("X-", flipped=True)]
 VECTOR_OPS = {
     "tensor": lambda ext, v: ext.tensor(v, lam(0)),
@@ -104,6 +105,15 @@ def e2():
 def test_vector_ops_reject_unknown_class(e2, op, label):
     with pytest.raises(ValueError, match="unknown class") as excinfo:
         VECTOR_OPS[op](e2, ExtVector({label: 1.0}))
+    assert not isinstance(excinfo.value, UnsupportedCaseError)
+
+
+@pytest.mark.parametrize("op", VECTOR_OPS)
+@pytest.mark.parametrize("key", NOT_A_LABEL, ids=repr)
+def test_vector_ops_reject_non_label_key(e2, op, key):
+    with pytest.raises(ValueError, match="is not a GradedLabel") as excinfo:
+        VECTOR_OPS[op](e2, ExtVector({key: 1.0}))
+    assert repr(key) in str(excinfo.value)
     assert not isinstance(excinfo.value, UnsupportedCaseError)
 
 

@@ -71,12 +71,15 @@ def test_group_action(ring):
 
 
 def test_qdims(r2):
+    def qdim(x):
+        return r2.dims[r2.index(x)]
+
     phi = (1 + math.sqrt(5)) / 2
-    assert abs(r2.qdim("X0") - 1.0) < TOL
-    assert abs(r2.qdim(PLUS) - phi) < TOL  # [5]/2 at kappa=10
-    assert abs(r2.qdim(PLUS) - 1.618034) < 1e-6
-    assert abs(r2.qdim("X2") - (1 + phi)) < TOL
-    assert abs(r2.qdim("X2") - 2.618034) < 1e-6
+    assert abs(qdim("X0") - 1.0) < TOL
+    assert abs(qdim(PLUS) - phi) < TOL  # [5]/2 at kappa=10
+    assert abs(qdim(PLUS) - 1.618034) < 1e-6
+    assert abs(qdim("X2") - (1 + phi)) < TOL
+    assert abs(qdim("X2") - 2.618034) < 1e-6
 
 
 def test_associativity(ring):
