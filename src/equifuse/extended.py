@@ -78,7 +78,8 @@ def alam(x) -> "ExtVector":
 
 
 class ExtVector:
-    """Finite complex linear combination of graded basis elements."""
+    """Finite complex linear combination of graded basis elements; every key
+    must be a `GradedLabel`."""
 
     __slots__ = ("_terms",)
 
@@ -87,6 +88,8 @@ class ExtVector:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for label, c in items:
+                if not isinstance(label, GradedLabel):
+                    raise ValueError(f"vector key {label!r} is not a GradedLabel")
                 self._accumulate(label, c)
 
     def _accumulate(self, label: GradedLabel, c: complex) -> None:
@@ -266,8 +269,6 @@ class ExtData:
         for label, c in x.items():
             position = self.basis_positions.get(label)
             if position is None:
-                if not isinstance(label, GradedLabel):
-                    raise ValueError(f"vector key {label!r} is not a GradedLabel")
                 if GradedLabel(label.cls) in self.basis_positions:
                     # the flip exchanges the split pair, so X+/X- have no flipped partner
                     raise UnsupportedCaseError(f"no flipped basis element for class {label.cls}")

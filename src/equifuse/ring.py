@@ -9,9 +9,14 @@ i, the split pair from the middle object 2m); the grading, the dimensions
 and the merged table `combined_tensor` are read off it.
 
 The full multiplication tensor is derived from the seed products by the
-degree-lowering recursion X_i = X_1*X_{i-1} - X_{i-2}.  Every intermediate
-multiplicity must stay a nonnegative integer, and the finished table must be
-commutative with X0 a strict unit, or construction aborts.
+degree-lowering recursion X_i = X_1*X_{i-1} - X_{i-2}.  The X1 row is never
+multiplied out: it holds 1 exactly where the parents of two classes are
+neighbours, so a row times it is the row pushed onto the parents, summed over
+each parent's two neighbours and read back at `descent`.  The pushed rows obey
+the same recursion, scaled by the number of classes per parent, so each step
+is a few int64 sums and products of small integers, and exact.  Every
+intermediate multiplicity must stay a nonnegative integer, and the finished
+table must be commutative with X0 a strict unit, or construction aborts.
 """
 
 from __future__ import annotations
@@ -112,19 +117,24 @@ class TypeDRing:
         l = np.zeros((self.size, self.size, self.size), dtype=np.int64)
         l[0] = np.eye(self.size, dtype=np.int64)
 
-        # Seed row: multiplication by X1 moves the parent one step up or down,
-        # so X1 (x) X_{2m-1} contains both halves of the split pair.
-        r1 = (np.abs(self.descent[:, None] - self.descent) == 1).astype(np.int64)
-        l[1] = r1
-
+        # Seed rows pushed onto the parents, with an empty parent on each side:
+        # X0 sits on its parent, and X1 moves it one step up or down, so
+        # X1 (x) X_{2m-1} contains both halves of the split pair.
+        counts = np.bincount(self.descent)
+        gap = np.abs(self.descent[:, None] - np.arange(-1, counts.size + 1))
+        l[1] = gap[:, self.descent + 1] == 1
+        prev, cur = (gap == 0).astype(np.int64), np.zeros(gap.shape, dtype=np.int64)
+        cur[:, 1:-1] = (gap[:, 1:-1] == 1) * counts
         for i in range(2, n_plain):
-            row = l[i - 1] @ r1 - l[i - 2]
+            near = cur[:, :-2] + cur[:, 2:]
+            row = np.subtract(near[:, self.descent], l[i - 2], out=l[i])
             if row.min() < 0:
                 bad = np.argwhere(row < 0)[0]
                 raise InconsistencyError(
                     f"negative multiplicity deriving X{i} (x) {self.labels[bad[0]]}"
                 )
-            l[i] = row
+            prev[:, 1:-1] = near * counts - prev[:, 1:-1]
+            prev, cur = cur, prev
 
         # Products with the split pair: commuted rows plus the seeded squares.
         l[self.plus :, :n_plain] = l[:n_plain, self.plus :].swapaxes(0, 1)
@@ -147,14 +157,17 @@ class TypeDRing:
             raise InconsistencyError("X0 is not a unit")
         if not np.array_equal(l[:, :, 0], eye):
             raise InconsistencyError("self-duality failed: X0 content of x (x) y is not delta_xy")
-        parity_ok = (self.sectors[:, None, None] ^ self.sectors[None, :, None]) == self.sectors[
-            None, None, :
-        ]
-        if np.any(l[~parity_ok]):
+        sector_of = np.eye(2, dtype=bool)[self.sectors]  # one-hot, so the product is exact
+        hits = (l != 0) @ sector_of  # hits[x, y, v]: x (x) y has an output of sector v
+        if (hits & sector_of[self.sectors[:, None] ^ self.sectors ^ 1]).any():
             raise InconsistencyError("grading is not additive under multiplication")
-        a = self.action
-        if not np.array_equal(l[np.ix_(a, a, a)], l):
-            raise InconsistencyError("multiplication table is not flip-invariant")
+        a, moved = self.action, np.flatnonzero(self.action != np.arange(self.size))
+        for axis in range(3):  # an entry the flip changes has a moved class on some axis
+            flipped = l.take(a[moved], axis)
+            for other in {0, 1, 2} - {axis}:
+                flipped = flipped.take(a, other)
+            if not np.array_equal(flipped, l.take(moved, axis)):
+                raise InconsistencyError("multiplication table is not flip-invariant")
 
     def index(self, x) -> int:
         """Position in `labels` of a class in any spelling `canonical_label`

@@ -29,8 +29,9 @@ class Sl2Data:
     dims : float array
         Quantum dimensions d_i = [i+1].
     n : (delta+1,)^3 int8 array
-        Fusion multiplicities, all 0 or 1; n[i, j, k] = 1 iff
-        |i-j| <= k <= i+j, k <= 2*delta - (i+j) and i+j+k is even.
+        Fusion multiplicities, all 0 or 1: n[i, j] marks k = |i-j|, |i-j|+2,
+        ..., min(i+j, 2*delta - i - j).  Built as comb[|i-j|] - comb[min + 2]
+        from the int8 rows comb[c] that mark c, c+2, c+4, ...
     p_plus, p_minus : complex
         Sums of theta_i^(+-1) * d_i^2 over all simples.
     big_d : float
@@ -48,17 +49,11 @@ class Sl2Data:
         self.dims = np.array([quantum_integer(i + 1, kappa) for i in idx])
         self.s = np.sqrt(2.0 / kappa) * np.sin(np.outer(idx + 1, idx + 1) * np.pi / kappa)
 
-        # 1-D ranges broadcast against each other, so only the boolean
-        # conditions and n itself are full (delta+1)^3 arrays
-        i, j, k = np.ix_(idx, idx, idx)
-        i_plus_j = i + j
-        allowed = (
-            (i_plus_j % 2 == k % 2)
-            & (np.abs(i - j) <= k)
-            & (k <= i_plus_j)
-            & (k <= 2 * self.delta - i_plus_j)
-        )
-        self.n = allowed.astype(np.int8)
+        steps = idx - np.arange(self.delta + 3)[:, None]  # rows c = 0..delta+2 of comb
+        comb = ((steps >= 0) & (steps % 2 == 0)).astype(np.int8)
+        i, j = np.ix_(idx, idx)
+        self.n = comb[np.abs(i - j)]
+        self.n -= comb[np.minimum(i + j, 2 * self.delta - i - j) + 2]
 
         self.p_plus = complex(np.sum(self.twists * self.dims**2))
         self.p_minus = complex(np.sum(self.dims**2 / self.twists))

@@ -76,8 +76,9 @@ def test_graded_label_parse_rejects_malformed_class():
 
 
 # Vector operations validate every label of every operand through the basis
-# map: an unknown or non-canonical class, or a key that is not a GradedLabel,
-# is a ValueError, a flipped split-pair element an UnsupportedCaseError.
+# map: an unknown or non-canonical class is a ValueError, a flipped split-pair
+# element an UnsupportedCaseError.  A key that is not a GradedLabel is a
+# ValueError already when the vector is built.
 UNKNOWN = [GradedLabel("X99"), GradedLabel("X99", flipped=True), GradedLabel("3"), GradedLabel("+")]
 NOT_A_LABEL = ["X2", ("X2", False)]
 NO_PARTNER = [GradedLabel("X+", flipped=True), GradedLabel("X-", flipped=True)]
@@ -115,6 +116,12 @@ def test_vector_ops_reject_non_label_key(e2, op, key):
         VECTOR_OPS[op](e2, ExtVector({key: 1.0}))
     assert repr(key) in str(excinfo.value)
     assert not isinstance(excinfo.value, UnsupportedCaseError)
+
+
+@pytest.mark.parametrize("key", NOT_A_LABEL, ids=repr)
+def test_vector_rejects_non_label_key(key):
+    with pytest.raises(ValueError, match="is not a GradedLabel"):
+        ExtVector({key: 1.0})
 
 
 @pytest.mark.parametrize("op", VECTOR_OPS)
