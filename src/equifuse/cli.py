@@ -7,17 +7,20 @@ smatrix  print an s-matrix block with row/column labels
 coeff    evaluate one fusion coefficient by a chosen formula
 verify   run the identity battery at --tol; exit 0 iff everything passes
 
-All numeric JSON output is rendered with 12 significant digits and sorted
-keys, so repeated runs are byte-identical.  Exit codes: 0 success, 1 at
-least one verification failure, 2 invalid invocation.
+--json output is laid out as ``json.dumps(indent=2, sort_keys=True)`` lays it
+out, with every float first cut to 12 significant digits, so repeated runs are
+byte-identical.  Exit codes: 0 success, 1 at least one verification failure,
+2 invalid invocation, 141 standard output closed early (a pipe into ``head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
-import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,22 +30,49 @@ from .formulas import ext_coeff_a, ext_coeff_e, verify_all
 from .ring import TypeDRing
 from .sl2 import Sl2Data
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_PAIR = "[\n        %s,\n        %s\n      ]"  # a complex value inside a record
 
-def _json_value(x):
+
+def _json_number(x) -> str:
+    """A float, bool or int as json.dumps writes it, a float first cut to 12 significant digits."""
     if isinstance(x, float):
-        return float(f"{x:.12g}")
-    if isinstance(x, complex):
-        return [_json_value(x.real), _json_value(x.imag)]
-    if isinstance(x, dict):
-        return {k: _json_value(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_value(v) for v in x]
-    return x
+        text = f"{x:.12g}"
+        return _NON_FINITE.get(text) or float.__repr__(float(text))
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit_json(m: int, kappa: int, tolerance: float, results) -> None:
-    payload = {"m": m, "kappa": kappa, "tolerance": tolerance, "results": results}
-    print(json.dumps(_json_value(payload), indent=2, sort_keys=True))
+def _json_column(values, strings: dict[str, str]) -> list[str]:
+    encoded = []
+    for v in values:
+        if isinstance(v, str):
+            text = strings.get(v) or strings.setdefault(v, encode_basestring_ascii(v))
+        elif isinstance(v, complex):
+            text = _JSON_PAIR % (_json_number(v.real), _json_number(v.imag))
+        else:
+            text = _json_number(v)
+        encoded.append(text)
+    return encoded
+
+
+def _emit_json(m: int, kappa: int, tolerance: float, columns: dict[str, list]) -> None:
+    """Print the envelope, one record per row of `columns` (key -> list), in the bytes of
+    json.dumps(payload, indent=2, sort_keys=True); a value other than str, bool, int,
+    float or complex raises TypeError.
+    """
+    keys = sorted(columns)
+    fields = ",\n".join(f"      {encode_basestring_ascii(k)}: %s" for k in keys)
+    template = f"    {{\n{fields}\n    }}"
+    strings: dict[str, str] = {}
+    encoded = [_json_column(columns[k], strings) for k in keys]
+    records = ",\n".join(template % row for row in zip(*encoded, strict=True))
+    results = f"[\n{records}\n  ]" if records else "[]"
+    print(f'{{\n  "kappa": {_json_number(kappa)},\n  "m": {_json_number(m)},\n'
+          f'  "results": {results},\n  "tolerance": {_json_number(tolerance)}\n}}')
 
 
 def _fail(message: str) -> int:
@@ -64,14 +94,13 @@ def _cmd_table(args) -> int:
 
     # nonzero entries in lexicographic (x, y, z) order
     nonzero = np.nonzero(tensor)
-    names = ([labels[t] for t in axis.tolist()] for axis in nonzero)
-    entries = list(zip(*names, tensor[nonzero].tolist()))
+    xs, ys, zs = ([labels[t] for t in axis.tolist()] for axis in nonzero)
+    mults = tensor[nonzero].tolist()
     if args.json:
-        rows = [{"x": lx, "y": ly, "z": lz, "mult": mult} for lx, ly, lz, mult in entries]
-        _emit_json(args.m, ring.kappa, EPS, rows)
+        _emit_json(args.m, ring.kappa, EPS, {"x": xs, "y": ys, "z": zs, "mult": mults})
         return 0
     # no product of simples is zero, so every (x, y) pair has entries
-    for (lx, ly), terms in itertools.groupby(entries, key=lambda e: e[:2]):
+    for (lx, ly), terms in itertools.groupby(zip(xs, ys, zs, mults), key=lambda e: e[:2]):
         parts = [lz if mult == 1 else f"{mult} {lz}" for _, _, lz, mult in terms]
         print(f"{lx} x {ly} = " + " + ".join(parts))
     return 0
@@ -91,12 +120,12 @@ def _cmd_smatrix(args) -> int:
         block = ext.s_ea
 
     if args.json:
-        rows = [
-            {"row": rl, "col": cl, "value": complex(block[a, b])}
-            for a, rl in enumerate(row_labels)
-            for b, cl in enumerate(col_labels)
-        ]
-        _emit_json(args.m, ext.kappa, EPS, rows)
+        columns = {
+            "row": [rl for rl in row_labels for _ in col_labels],
+            "col": col_labels * len(row_labels),
+            "value": [complex(v) for row in block.tolist() for v in row],
+        }
+        _emit_json(args.m, ext.kappa, EPS, columns)
         return 0
     width = max(len(lab) for lab in row_labels + col_labels) + 1
     print(" " * width + "  ".join(f"{lab:>10}" for lab in col_labels))
@@ -110,16 +139,9 @@ def _cmd_coeff(args) -> int:
     value = _evaluate_coeff(ext, args.formula, args.i, args.j, args.k)
     nearest, residual = integer_residual(value)
     if args.json:
-        result = {
-            "formula": args.formula,
-            "i": args.i,
-            "j": args.j,
-            "k": args.k,
-            "value": value,
-            "nearest": nearest,
-            "residual": residual,
-        }
-        _emit_json(args.m, ext.kappa, EPS, [result])
+        columns = {"formula": [args.formula], "i": [args.i], "j": [args.j], "k": [args.k],
+                   "value": [value], "nearest": [nearest], "residual": [residual]}
+        _emit_json(args.m, ext.kappa, EPS, columns)
         return 0
     print(f"{args.formula}({args.i}, {args.j}, {args.k}) = {value:.12g}"
           f"  [nearest {nearest}, residual {residual:.3e}]")
@@ -147,16 +169,9 @@ def _parse_d_index(token: str, delta: int) -> int:
 def _cmd_verify(args) -> int:
     report = verify_all(args.m, tol=args.tol)
     if args.json:
-        results = [
-            {
-                "name": c.name,
-                "params": c.params,
-                "max_residual": c.max_residual,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ]
-        _emit_json(report.m, report.kappa, report.tolerance, results)
+        columns = {key: [getattr(c, key) for c in report.checks]
+                   for key in ("name", "params", "max_residual", "passed")}
+        _emit_json(report.m, report.kappa, report.tolerance, columns)
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
@@ -166,6 +181,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equifuse",
@@ -205,10 +221,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # e.g. `equifuse table --m 8 --json | head -1`
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the exit-time flush must not raise again
+        os.close(devnull)
+        return 141
     except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope
         return _fail(str(exc))
 

@@ -19,6 +19,10 @@ TABLE_SHA256 = {
     ("d", 2): "5136acb984af111ddc9e566a14f2eb45696bc134cb94f896e402bd77c8ea03ac",
     ("c", 4): "36969fbf98fd8ba7dcb28943c2bad2f87a5eb44180fb41264fdd29cfd5b04960",
     ("d", 4): "6b8771cc5c42e838846ffbdbc75a6a12cee20f8daf3d0cde313652f93a3767ee",
+    ("c", 6): "957c769fb4e81a674a7045fe79b5ac3e9c1de73d3176b14cd219ac944033d870",
+    ("d", 6): "fc486a1b0ced99ee01b0eeb7b84587177d11a5b0af40ec1210a5dee867fabfe0",
+    ("c", 8): "2a2fe0ab3822a472066ecf9116c403ecff64fac8983fb60b5feb6185012a5b07",
+    ("d", 8): "9f113c2ebb98bc98456a0989602987e8786edc7feb6f7b5436e99451489849bf",
 }
 VERIFY = json.loads((Path(__file__).parent / "golden" / "verify.json").read_text())
 RESIDUAL_TOL = 1e-14
