@@ -19,8 +19,8 @@ vector operations validate their operands against.
 
 The change of basis to the convolution eigenbasis is the single 2x2 block
 `CHANGE_OF_BASIS`, acting on each (lambda_i, flipped_i) pair; its inverse is
-twice itself, and `diagonalization_matrices` in `formulas` builds its matrix
-from the same block.
+twice itself, and `diagonalization_matrices` in `formulas` applies the same
+block to each pair.
 
 Supported numerically are the blocks graded (e,e), (a,e) and (e,a) in
 (group, sector) order.  Operations that would need data on the remaining
@@ -58,13 +58,6 @@ class GradedLabel:
     def token(self) -> str:
         prefix = "al" if self.flipped else "l"
         return f"{prefix}:{self.cls.removeprefix('X')}"
-
-    @classmethod
-    def parse(cls, token: str) -> "GradedLabel":
-        prefix, _, name = token.partition(":")
-        if prefix not in ("l", "al") or not name:
-            raise ValueError(f"bad graded label {token!r}; expected 'l:<i>' or 'al:<i>'")
-        return cls(canonical_label(name), flipped=(prefix == "al"))
 
 
 def lam(x) -> "ExtVector":

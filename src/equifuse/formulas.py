@@ -1,6 +1,11 @@
 """Verlinde-formula evaluators for the extended algebra and the battery of
 numerical identity checks behind `verify_all`.
 
+Each Verlinde formula is a tuple of s-matrix row blocks (x, y, z, unit);
+its summand x[i] y[j] z[k] / unit is written once, in `_summands`.  Point
+evaluators index the rows with ints and block checks with `np.ix_` arrays,
+so a block check equals its loop of point calls bit for bit.
+
 Every evaluator is checked against the integer fusion tables, which act as
 the oracle: a coefficient counts as reproduced only if it both rounds to the
 oracle integer and sits within tolerance of it.
@@ -59,38 +64,43 @@ class VerificationReport:
 
 # -- evaluators -------------------------------------------------------------
 #
-# Each formula is written once, over positions in the s-matrix blocks.  The
-# positions may be index arrays that broadcast, so the same expression gives
-# one coefficient's summands for a point evaluator and a whole block of them
-# (summands on the last axis) for a check.
+# `_summands` takes int positions for one coefficient's summands, or `np.ix_`
+# arrays for a whole block of them (summands on the last axis).
 
 
-def _ee_terms(ext: ExtData, px, py, pz) -> np.ndarray:
+def _summands(rows, i, j, k) -> np.ndarray:
+    x, y, z, unit = rows
+    return x[i] * y[j] * z[k] / unit
+
+
+def _ee_rows(ext: ExtData):
     s = ext.s_ee
-    return s[px] * s[py] * s[pz] / s[0]
+    return s, s, s, s[0]
 
 
-def _e_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
-    m = ext.m
-    return ext.s_ee[pi, :m] * ext.s_ea[pj] * ext.s_ea[pk] / ext.s_ee[0, :m]
+# the transfer formulas sum over the flip-fixed even classes: s_ee's first m columns
+def _e_rows(ext: ExtData):
+    fixed = ext.s_ee[:, : ext.m]
+    return fixed, ext.s_ea, ext.s_ea, fixed[0]
 
 
-def _a_terms(ext: ExtData, pi, pj, pk) -> np.ndarray:
-    m = ext.m
-    return ext.s_ea[pi] * ext.s_ea[pj] * ext.s_ee[pk, :m] / ext.s_ee[0, :m]
+def _a_rows(ext: ExtData):
+    fixed = ext.s_ee[:, : ext.m]
+    return ext.s_ea, ext.s_ea, fixed, fixed[0]
 
 
 def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
     """Fusion coefficient of z in x (x) y for untwisted identity-block
     labels, via the unitary block s-matrix: one summand per basis column."""
     px, py, pz = _block_pos(ext, x, 0), _block_pos(ext, y, 0), _block_pos(ext, z, 0)
-    return float(np.sum(_ee_terms(ext, px, py, pz)))
+    return float(np.sum(_summands(_ee_rows(ext), px, py, pz)))
 
 
 def ext_coeff_e_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands of the transfer formula for i in the untwisted identity
     block and j, k odd; columns run over the flip-fixed even classes."""
-    return _e_terms(ext, _block_pos(ext, i, 0), _block_pos(ext, j, 1), _block_pos(ext, k, 1))
+    return _summands(_e_rows(ext), _block_pos(ext, i, 0), _block_pos(ext, j, 1),
+                     _block_pos(ext, k, 1))
 
 
 def ext_coeff_e(ext: ExtData, i, j, k) -> float:
@@ -108,7 +118,8 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
 
 def ext_coeff_a_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands for i, j odd and k in the untwisted identity block."""
-    return _a_terms(ext, _block_pos(ext, i, 1), _block_pos(ext, j, 1), _block_pos(ext, k, 0))
+    return _summands(_a_rows(ext), _block_pos(ext, i, 1), _block_pos(ext, j, 1),
+                     _block_pos(ext, k, 0))
 
 
 def ext_coeff_a(ext: ExtData, i, j, k) -> float:
@@ -275,43 +286,36 @@ def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     ]
 
 
-def _oracle_residual(values: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """Residuals against the oracle integers.  A value that rounds to a
-    different integer is at least 1/2 away, so a wrong coefficient can never
-    sneak under a tolerance; the floor keeps that explicit."""
-    residual = np.abs(values - oracle)
-    wrong = np.rint(values) != oracle
-    return np.where(wrong, np.maximum(residual, 0.5), residual)
-
-
-def _oracle_check(name: str, ext: ExtData, tol: float, terms, classes) -> Check:
+def _oracle_check(name: str, ext: ExtData, tol: float, rows, classes) -> Check:
     """A block formula summed over every triple of the given ring classes
     (one class list per slot, in block-position order) against the ring
-    table on the same triples."""
-    values = terms(ext, *np.ix_(*(range(len(c)) for c in classes))).sum(axis=-1)
+    table on the same triples.  A value that rounds to a different integer
+    than the table's is at least 1/2 away from it, so a wrong coefficient
+    FAILs under any tolerance below 1/2."""
+    values = _summands(rows, *np.ix_(*(range(len(c)) for c in classes))).sum(axis=-1)
     oracle = ext.ring.l[np.ix_(*classes)]
-    return _check(name, f"m={ext.m}", tol, _oracle_residual(values, oracle))
+    return _check(name, f"m={ext.m}", tol, values - oracle)
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
     """Block Verlinde formula against the ring table for every triple of
     untwisted identity-block labels."""
     e = ext.e_classes
-    return _oracle_check("c-ee-verlinde", ext, tol, _ee_terms, (e, e, e))
+    return _oracle_check("c-ee-verlinde", ext, tol, _ee_rows(ext), (e, e, e))
 
 
 def check_ext_even(ext: ExtData, tol: float) -> Check:
     """Transfer formula with an identity-block left factor against the ring
     table, for every odd pair j, k."""
     odd = ext.odd_classes
-    return _oracle_check("c-even-formula", ext, tol, _e_terms, (ext.e_classes, odd, odd))
+    return _oracle_check("c-even-formula", ext, tol, _e_rows(ext), (ext.e_classes, odd, odd))
 
 
 def check_ext_odd(ext: ExtData, tol: float) -> Check:
     """Transfer formula with two odd factors against the ring table, for
     every identity-block output."""
     odd = ext.odd_classes
-    return _oracle_check("c-odd-formula", ext, tol, _a_terms, (odd, odd, ext.e_classes))
+    return _oracle_check("c-odd-formula", ext, tol, _a_rows(ext), (odd, odd, ext.e_classes))
 
 
 # -- diagonalization and the folded-sum identity ------------------------------
@@ -329,29 +333,22 @@ def diagonalization_matrices(ext: ExtData, i: int) -> tuple[np.ndarray, np.ndarr
     reaches), applied after the change of basis.
     """
     m = ext.m
-    i_pos = _block_pos(ext, i, 1)
-    dim = 2 * m + 2  # m pairs then the split pair
-
-    mix = np.eye(dim)
-    mix[: 2 * m, : 2 * m] = np.kron(np.eye(m), CHANGE_OF_BASIS)
+    eig = ext.s_ea[_block_pos(ext, i, 1)] / ext.s_ee[0, :m]
 
     # row b: s of the image of the b-th odd basis element under multiplication
     # by lambda_i, as a stack of matrix-vector products (a single matrix
     # product would round differently from one product per image)
     images = ext.ring.l[ext.ring.index(i)][np.ix_(ext.odd_classes, ext.e_classes)]
     s_images = (ext.s_ee @ images[..., None])[..., 0]
-    lhs_cols = np.zeros((dim, m))
-    lhs_cols[0 : 2 * m : 2] = s_images[:, :m].T  # lambda slots
-    lhs_cols[2 * m :] = s_images[:, m:].T  # the split pair
-    lhs = mix @ lhs_cols
 
-    rhs_cols = np.zeros((dim, m))
-    rhs_cols[1 : 2 * m + 1 : 2, :] = ext.s_ea.T  # flipped slots
-    eig = ext.s_ea[i_pos] / ext.s_ee[0, :m]
-    diag = np.zeros(dim)
-    diag[0 : 2 * m : 2] = -eig
-    diag[1 : 2 * m + 1 : 2] = eig
-    rhs = diag[:, None] * (mix @ rhs_cols)
+    # CHANGE_OF_BASIS acts on each (lambda_p, flipped_p) pair, rows 2p and
+    # 2p + 1: the left side has only a lambda component, the right side only
+    # a flipped one; the split pair passes through on the left
+    lhs, rhs = np.zeros((2 * m + 2, m)), np.zeros((2 * m + 2, m))
+    for slot, slot_eig in enumerate((-eig, eig)):
+        lhs[slot : 2 * m : 2] = CHANGE_OF_BASIS[slot, 0] * s_images[:, :m].T
+        rhs[slot : 2 * m : 2] = slot_eig[:, None] * (CHANGE_OF_BASIS[slot, 1] * ext.s_ea.T)
+    lhs[2 * m :] = s_images[:, m:].T
     return lhs, rhs
 
 
@@ -360,7 +357,6 @@ def check_diagonalization(ext: ExtData, tol: float) -> list[Check]:
     for i in ext.odd_classes:
         lhs, rhs = diagonalization_matrices(ext, i)
         out.append(_check("c-diagonalization", f"m={ext.m} i={i}", tol, lhs - rhs))
-    out.append(check_conv_eigenbasis(ext, tol))
     return out
 
 
@@ -383,6 +379,20 @@ def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
     return _check("c-conv-eigenbasis", f"m={ext.m}", tol, *parts)
 
 
+def _folded_rows(ext: ExtData, parity: int):
+    """Row blocks of the sum-transfer identity for j of the given parity: the
+    quotient side, read at rows (i//2, j//2, k//2) for k of j's parity only,
+    and the sl2 side, read at the merged indices (i, j, k).  The quotient
+    side pairs even t through s_ee_merged, which merges the split pair at
+    t = 2m."""
+    m, s, merged = ext.m, ext.d.s, ext.s_ee_merged
+    if parity:  # odd sector: columns are the flip-fixed even classes
+        quotient = merged[:, :m], ext.s_ea, ext.s_ea, ext.s_ee[0, :m]
+    else:  # identity block: columns are its full basis; a single split element at k = 2m
+        quotient = merged, merged, ext.s_ee, ext.s_ee[0]
+    return quotient, (s, s, ext.s_folded, s[0])
+
+
 def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float]:
     """Both evaluations of the sum-transfer identity for indices in the
     merged range 0..2m (i even).
@@ -391,43 +401,30 @@ def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float
     the middle index and taken once at it.  On the quotient side the merged
     index 2m means the whole split pair on input slots but a single split
     element on the output slot; with the pair also merged there, the left
-    side would count both halves and come out exactly twice the right.
+    side would count both halves and come out exactly twice the right.  The
+    quotient side is 0 for k of the other parity than j.
     """
     if i % 2:
         raise ValueError(f"first index must be even, got {i}")
     for t in (i, j, k):
         if not 0 <= t <= 2 * ext.m:
             raise ValueError(f"index {t} outside the merged range 0..{2 * ext.m}")
-    lhs, rhs = _folded_sum_at(ext, i, j, np.asarray(k), j % 2)
-    return float(lhs), float(rhs)
-
-
-def _folded_sum_at(ext: ExtData, i, j, k: np.ndarray, parity: int):
-    """Both sides of the sum-transfer identity at merged-range indices that
-    broadcast: i even, j of the given parity, k any."""
-    m, s = ext.m, ext.d.s
-    rhs = np.sum(s[i] * s[j] * ext.s_folded[k] / s[0], axis=-1)
-
-    # pairings (s lambda_t, .) of even t over the identity-block basis come
-    # from s_ee_merged, with the split pair merged at t = 2m
-    merged = ext.s_ee_merged
-    if parity:  # odd sector: columns are the flip-fixed even classes
-        cols, rows_j, rows_k = m, ext.s_ea, ext.s_ea
-    else:  # identity block: columns are its full basis; a single split element at k = 2m
-        cols, rows_j, rows_k = m + 2, merged, ext.s_ee
-    # (k - parity) // 2 is the row of k in its sector; for k of the other
-    # parity it is merely a valid row, masked to zero
-    rk = np.where((k % 2 == parity)[..., None], rows_k[(k - parity) // 2], 0.0)
-    lhs = np.sum(merged[i // 2, :cols] * rows_j[j // 2] * rk / ext.s_ee[0, :cols], axis=-1)
-    return lhs, rhs
+    parity = j % 2
+    quotient, sl2 = _folded_rows(ext, parity)
+    lhs = float(np.sum(_summands(quotient, i // 2, j // 2, k // 2))) if k % 2 == parity else 0.0
+    return lhs, float(np.sum(_summands(sl2, i, j, k)))
 
 
 def check_folded_sum(ext: ExtData, tol: float) -> Check:
     m = ext.m
     parts = []
     for parity in (0, 1):  # the branches sum over different column sets
+        quotient, sl2 = _folded_rows(ext, parity)
         i, j, k = np.ix_(range(0, 2 * m + 1, 2), range(parity, 2 * m + 1, 2), range(2 * m + 1))
-        lhs, rhs = _folded_sum_at(ext, i, j, k, parity)
+        rhs = _summands(sl2, i, j, k).sum(axis=-1)
+        lhs = np.zeros_like(rhs)
+        same = k[..., parity::2]  # the quotient side is 0 for k of the other parity
+        lhs[:, :, parity::2] = _summands(quotient, i // 2, j // 2, same // 2).sum(axis=-1)
         parts.append(lhs - rhs)
     return _check("c-folded-sum", f"m={m}", tol, *parts)
 
@@ -470,6 +467,7 @@ def verify_all(m: int, tol: float = EPS) -> VerificationReport:
     checks.append(check_ext_even(ext, tol))
     checks.append(check_ext_odd(ext, tol))
     checks.extend(check_diagonalization(ext, tol))
+    checks.append(check_conv_eigenbasis(ext, tol))
     checks.append(check_folded_sum(ext, tol))
 
     checks.sort(key=lambda c: (c.name, c.params))

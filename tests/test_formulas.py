@@ -250,6 +250,13 @@ def test_verify_all_rejects_bad_tolerance(tol):
         verify_all(2, tol=tol)
 
 
+def test_residual_headroom_at_m16():
+    # the worst residual at m=16 is about 1.7e-13 (ring-dimension-hom), so the
+    # default 1e-9 needs no size-dependent scaling here
+    for c in verify_all(16).checks:
+        assert c.max_residual < 1e-11, c
+
+
 def test_verify_all_reports_plain_types():
     for c in verify_all(2, tol=np.float64(1e-9)).checks:
         assert type(c.passed) is bool, c
@@ -295,6 +302,27 @@ def test_conv_eigenbasis_fails_on_nan():
     c = check_conv_eigenbasis(ext, TOL)
     assert np.isnan(c.max_residual)
     assert not c.passed
+
+
+# One corrupted ingredient per row at m=4; the check that reads it must FAIL
+# with the residual pinned here.
+CORRUPTIONS = [
+    ("c-ee-verlinde", "ring.l", (2, 4, 6), 1, check_ee_verlinde, "m=4", 1.0000000000000004),
+    ("c-even-formula", "ring.l", (2, 3, 5), 1, check_ext_even, "m=4", 1.0),
+    ("c-odd-formula", "ring.l", (3, 5, 2), 1, check_ext_odd, "m=4", 1.0),
+    ("c-diagonalization", "ring.l", (1, 3, 2), 1,
+     lambda ext, tol: check_diagonalization(ext, tol)[0], "m=4 i=1", 0.3333333333333333),
+    ("c-folded-sum", "s_folded", (3, 2), 1e-6, check_folded_sum, "m=4", 6.66666670090521e-07),
+]
+
+
+@pytest.mark.parametrize("name, table, entry, delta, check, params, residual", CORRUPTIONS,
+                         ids=[row[0] for row in CORRUPTIONS])
+def test_check_fails_on_corrupted_ingredient(name, table, entry, delta, check, params, residual):
+    ext = ExtData.build(4)
+    (ext.ring.l if table == "ring.l" else ext.s_folded)[entry] += delta
+    c = check(ext, TOL)
+    assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
 
 
 def test_checks_expose_even_and_odd_formulas(ext):

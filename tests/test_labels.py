@@ -33,7 +33,6 @@ def test_spelling_resolves_to_one_class(r2, label, spelling):
     assert canonical_label(spelling) == label
     assert r2.index(spelling) == r2.labels.index(label)
     assert list(lam(spelling).labels()) == [GradedLabel(label)]
-    assert GradedLabel.parse(f"l:{spelling}") == GradedLabel(label)
 
 
 @pytest.mark.parametrize("label, spelling", SPELLED)
@@ -68,11 +67,6 @@ def test_cli_rejects_bad_label(capsys, token, formula):
     err = capsys.readouterr().err
     assert code == 2
     assert "label" in err
-
-
-def test_graded_label_parse_rejects_malformed_class():
-    with pytest.raises(ValueError, match="label"):
-        GradedLabel.parse("l:bad")
 
 
 # Vector operations validate every label of every operand through the basis
