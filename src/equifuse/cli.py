@@ -27,7 +27,7 @@ import numpy as np
 from .arith import EPS, integer_residual
 from .extended import ExtData, GradedLabel
 from .formulas import ext_coeff_a, ext_coeff_e, verify_all
-from .ring import TypeDRing
+from .ring import TypeDRing, require_even_m
 from .sl2 import Sl2Data
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -85,19 +85,20 @@ def _d_labels(delta: int) -> list[str]:
 
 
 def _cmd_table(args) -> int:
-    ring = TypeDRing(args.m)
     if args.ring == "d":
-        d = Sl2Data(ring.kappa)
-        labels, tensor = _d_labels(d.delta), d.n
+        require_even_m(args.m)  # the same guard, and message, as TypeDRing's
+        table = Sl2Data(4 * args.m + 2)
+        labels, tensor = _d_labels(table.delta), table.n
     else:
-        labels, tensor = ring.labels, ring.l
+        table = TypeDRing(args.m)
+        labels, tensor = table.labels, table.l
 
     # nonzero entries in lexicographic (x, y, z) order
     nonzero = np.nonzero(tensor)
     xs, ys, zs = ([labels[t] for t in axis.tolist()] for axis in nonzero)
     mults = tensor[nonzero].tolist()
     if args.json:
-        _emit_json(args.m, ring.kappa, EPS, {"x": xs, "y": ys, "z": zs, "mult": mults})
+        _emit_json(args.m, table.kappa, EPS, {"x": xs, "y": ys, "z": zs, "mult": mults})
         return 0
     # no product of simples is zero, so every (x, y) pair has entries
     for (lx, ly), terms in itertools.groupby(zip(xs, ys, zs, mults), key=lambda e: e[:2]):

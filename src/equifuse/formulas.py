@@ -13,6 +13,9 @@ oracle integer and sits within tolerance of it.
 Every check follows one rule, written once in `_check`: it reports the
 largest absolute residual over all its parts and passes iff that is below
 the tolerance.  A NaN anywhere makes the residual NaN, so the check FAILs.
+Checks of integer data, or of values against an integer table, use
+`_integer_check`, which caps the tolerance at 1/2 so that no tolerance lets
+a wrong integer pass.
 """
 
 from __future__ import annotations
@@ -144,11 +147,20 @@ def _check(name: str, params: str, tol: float, *residuals) -> Check:
     """The one place residuals become a pass or a fail: the largest absolute
     entry over all parts, reduced with `np.max` so that a NaN propagates and
     FAILs.  A real part is reduced through its max and min, which makes no
-    full-size `np.abs` copy; the outer `abs` turns an all-zero -0.0 into 0.0."""
-    peaks = [np.max(np.abs(r)) if np.iscomplexobj(r) else np.max([np.max(r), -np.min(r)])
+    full-size `np.abs` copy; the min is negated as a Python float, so an int8
+    minimum cannot wrap, and the outer `abs` turns an all-zero -0.0 into 0.0."""
+    peaks = [np.max(np.abs(r)) if np.iscomplexobj(r) else np.max([np.max(r), -float(np.min(r))])
              for r in residuals]
     res = abs(float(np.max(peaks)))
     return Check(name, params, res, bool(res < tol))
+
+
+def _integer_check(name: str, params: str, tol: float, *residuals) -> Check:
+    """`_check` for an identity that holds in integers: it passes iff the
+    residual is below min(tol, 1/2).  An integer residual then passes only
+    when it is 0, and a value checked against an integer table passes only if
+    it rounds to the table's integer and is within tol."""
+    return _check(name, params, min(tol, 0.5), *residuals)
 
 
 def _unitarity(s: np.ndarray) -> np.ndarray:
@@ -189,7 +201,8 @@ def check_d_symmetric(d: Sl2Data, tol: float) -> Check:
 
 def check_d_verlinde(d: Sl2Data, tol: float) -> Check:
     """Verlinde sums against the closed-form fusion tensor, all triples."""
-    return _check("d-verlinde-closed-form", f"kappa={d.kappa}", tol, d.verlinde_tensor() - d.n)
+    return _integer_check("d-verlinde-closed-form", f"kappa={d.kappa}", tol,
+                          d.verlinde_tensor() - d.n)
 
 
 def check_d_modular_relation(d: Sl2Data, tol: float) -> Check:
@@ -223,14 +236,14 @@ def check_d_folds(d: Sl2Data, tol: float) -> list[Check]:
 
 
 def check_d_n_associative(d: Sl2Data, tol: float) -> Check:
-    return _check("d-n-associative", f"kappa={d.kappa}", tol, _associativity(d.n))
+    return _integer_check("d-n-associative", f"kappa={d.kappa}", tol, _associativity(d.n))
 
 
 # -- identity checks on the ring side ----------------------------------------
 
 
 def check_ring_associative(ring: TypeDRing, tol: float) -> Check:
-    return _check("ring-associative", f"m={ring.m}", tol, _associativity(ring.l))
+    return _integer_check("ring-associative", f"m={ring.m}", tol, _associativity(ring.l))
 
 
 def check_ring_dimension_hom(ring: TypeDRing, tol: float) -> Check:
@@ -241,12 +254,14 @@ def check_ring_dimension_hom(ring: TypeDRing, tol: float) -> Check:
 
 def check_ring_flip_invariant(ring: TypeDRing, tol: float) -> Check:
     a = ring.action
-    return _check("ring-flip-invariant", f"m={ring.m}", tol, ring.l[np.ix_(a, a, a)] - ring.l)
+    return _integer_check("ring-flip-invariant", f"m={ring.m}", tol,
+                          ring.l[np.ix_(a, a, a)] - ring.l)
 
 
 def check_ring_unit_dual(ring: TypeDRing, tol: float) -> Check:
     eye = np.eye(ring.size, dtype=np.int64)
-    return _check("ring-unit-dual", f"m={ring.m}", tol, ring.l[0] - eye, ring.l[:, :, 0] - eye)
+    return _integer_check("ring-unit-dual", f"m={ring.m}", tol,
+                          ring.l[0] - eye, ring.l[:, :, 0] - eye)
 
 
 def check_coefficient_folding(ring: TypeDRing, d: Sl2Data, tol: float) -> Check:
@@ -257,7 +272,7 @@ def check_coefficient_folding(ring: TypeDRing, d: Sl2Data, tol: float) -> Check:
     merged = ring.combined_tensor()
     n = len(merged)
     expected = push_forward(d.n[:n, :n], ring.fold, axis=2)
-    return _check("ring-coefficient-folding", f"m={ring.m}", tol, merged - expected)
+    return _integer_check("ring-coefficient-folding", f"m={ring.m}", tol, merged - expected)
 
 
 # -- identity checks on the extended side ------------------------------------
@@ -290,11 +305,11 @@ def _oracle_check(name: str, ext: ExtData, tol: float, rows, classes) -> Check:
     """A block formula summed over every triple of the given ring classes
     (one class list per slot, in block-position order) against the ring
     table on the same triples.  A value that rounds to a different integer
-    than the table's is at least 1/2 away from it, so a wrong coefficient
-    FAILs under any tolerance below 1/2."""
+    than the table's is at least 1/2 away from it, so `_integer_check` FAILs
+    a wrong coefficient under any tolerance."""
     values = _summands(rows, *np.ix_(*(range(len(c)) for c in classes))).sum(axis=-1)
     oracle = ext.ring.l[np.ix_(*classes)]
-    return _check(name, f"m={ext.m}", tol, values - oracle)
+    return _integer_check(name, f"m={ext.m}", tol, values - oracle)
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:

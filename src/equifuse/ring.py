@@ -14,9 +14,14 @@ multiplied out: it holds 1 exactly where the parents of two classes are
 neighbours, so a row times it is the row pushed onto the parents, summed over
 each parent's two neighbours and read back at `descent`.  The pushed rows obey
 the same recursion, scaled by the number of classes per parent, so each step
-is a few int64 sums and products of small integers, and exact.  Every
-intermediate multiplicity must stay a nonnegative integer, and the finished
-table must be commutative with X0 a strict unit, or construction aborts.
+is a few int8 sums and products of small integers.  Every intermediate of
+the recursion is at most 4 in absolute value (measured at m = 2 to 128), so
+the int8 arithmetic is exact.  Every intermediate multiplicity must stay a
+nonnegative integer, and the finished table must be commutative with X0 a
+strict unit, or construction aborts.
+
+The table `l` is int8 (every multiplicity is at most 2): widen it, e.g. with
+`astype(np.int64)`, before summing many products of its entries.
 """
 
 from __future__ import annotations
@@ -71,8 +76,8 @@ class TypeDRing:
         delta = 4m, kappa = 4m + 2.
     labels : list of str
         ["X0", ..., "X{2m-1}", "X+", "X-"] in index order.
-    l : (size, size, size) int array
-        Multiplicities: x (x) y = sum_z l[x, y, z] * z.
+    l : (size, size, size) int8 array
+        Multiplicities: x (x) y = sum_z l[x, y, z] * z, each 0, 1 or 2.
     descent : int array
         Parent sl2 object of each class: [0, 1, ..., 2m-1, 2m, 2m].
     fold : int array
@@ -114,16 +119,16 @@ class TypeDRing:
 
     def _derive_tensor(self) -> np.ndarray:
         m, n_plain = self.m, 2 * self.m
-        l = np.zeros((self.size, self.size, self.size), dtype=np.int64)
-        l[0] = np.eye(self.size, dtype=np.int64)
+        l = np.zeros((self.size, self.size, self.size), dtype=np.int8)
+        l[0] = np.eye(self.size, dtype=np.int8)
 
         # Seed rows pushed onto the parents, with an empty parent on each side:
         # X0 sits on its parent, and X1 moves it one step up or down, so
         # X1 (x) X_{2m-1} contains both halves of the split pair.
-        counts = np.bincount(self.descent)
+        counts = np.bincount(self.descent).astype(np.int8)
         gap = np.abs(self.descent[:, None] - np.arange(-1, counts.size + 1))
         l[1] = gap[:, self.descent + 1] == 1
-        prev, cur = (gap == 0).astype(np.int64), np.zeros(gap.shape, dtype=np.int64)
+        prev, cur = (gap == 0).astype(np.int8), np.zeros(gap.shape, dtype=np.int8)
         cur[:, 1:-1] = (gap[:, 1:-1] == 1) * counts
         for i in range(2, n_plain):
             near = cur[:, :-2] + cur[:, 2:]
@@ -152,15 +157,15 @@ class TypeDRing:
         l = self.l
         if not np.array_equal(l, l.transpose(1, 0, 2)):
             raise InconsistencyError("derived multiplication table is not commutative")
-        eye = np.eye(self.size, dtype=np.int64)
+        eye = np.eye(self.size, dtype=np.int8)
         if not np.array_equal(l[0], eye):
             raise InconsistencyError("X0 is not a unit")
         if not np.array_equal(l[:, :, 0], eye):
             raise InconsistencyError("self-duality failed: X0 content of x (x) y is not delta_xy")
-        sector_of = np.eye(2, dtype=bool)[self.sectors]  # one-hot, so the product is exact
-        hits = (l != 0) @ sector_of  # hits[x, y, v]: x (x) y has an output of sector v
-        if (hits & sector_of[self.sectors[:, None] ^ self.sectors ^ 1]).any():
-            raise InconsistencyError("grading is not additive under multiplication")
+        wrong = self.sectors[:, None] ^ self.sectors ^ 1  # wrong[x, y]: the sector x (x) y misses
+        for v in (0, 1):  # the pairs that must miss sector v, read on its output columns
+            if l[wrong == v][:, self.sectors == v].any():
+                raise InconsistencyError("grading is not additive under multiplication")
         a, moved = self.action, np.flatnonzero(self.action != np.arange(self.size))
         for axis in range(3):  # an entry the flip changes has a moved class on some axis
             flipped = l.take(a[moved], axis)

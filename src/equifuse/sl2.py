@@ -8,6 +8,7 @@ an independent consistency check, not as a constructor.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,8 +31,9 @@ class Sl2Data:
         Quantum dimensions d_i = [i+1].
     n : (delta+1,)^3 int8 array
         Fusion multiplicities, all 0 or 1: n[i, j] marks k = |i-j|, |i-j|+2,
-        ..., min(i+j, 2*delta - i - j).  Built as comb[|i-j|] - comb[min + 2]
-        from the int8 rows comb[c] that mark c, c+2, c+4, ...
+        ..., min(i+j, 2*delta - i - j).  Built on first read, one i-slab at a
+        time, and kept; widen it, e.g. with `astype(np.int64)`, before
+        summing many products of its entries.
     p_plus, p_minus : complex
         Sums of theta_i^(+-1) * d_i^2 over all simples.
     big_d : float
@@ -47,13 +49,11 @@ class Sl2Data:
         idx = np.arange(self.delta + 1)
         self.twists = np.array([twist(i, kappa) for i in idx])
         self.dims = np.array([quantum_integer(i + 1, kappa) for i in idx])
+        self._theta_dims = self.twists * self.dims  # the weights s_from_twists sums
         self.s = np.sqrt(2.0 / kappa) * np.sin(np.outer(idx + 1, idx + 1) * np.pi / kappa)
 
         steps = idx - np.arange(self.delta + 3)[:, None]  # rows c = 0..delta+2 of comb
-        comb = ((steps >= 0) & (steps % 2 == 0)).astype(np.int8)
-        i, j = np.ix_(idx, idx)
-        self.n = comb[np.abs(i - j)]
-        self.n -= comb[np.minimum(i + j, 2 * self.delta - i - j) + 2]
+        self._comb = ((steps >= 0) & (steps % 2 == 0)).astype(np.int8)  # comb[c] marks c, c+2, ...
 
         self.p_plus = complex(np.sum(self.twists * self.dims**2))
         self.p_minus = complex(np.sum(self.dims**2 / self.twists))
@@ -61,6 +61,21 @@ class Sl2Data:
         if abs(prod.imag) > EPS * abs(prod):
             raise ValueError(f"p+ p- should be real, got {prod!r}")
         self.big_d = math.sqrt(prod.real)
+
+    def _fusion_rows(self, i, j) -> np.ndarray:
+        """n[i, j] as comb[|i-j|] - comb[min(i+j, 2*delta - i - j) + 2]; i and
+        j are ints or index arrays that broadcast against each other.  The
+        builtin `abs` serves both, so a point call reads two rows of comb."""
+        return self._comb[abs(i - j)] - self._comb[self.delta + 2 - abs(self.delta - i - j)]
+
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        """The full fusion table, filled one i-slab at a time."""
+        idx = np.arange(self.delta + 1)
+        n = np.empty((self.delta + 1,) * 3, dtype=np.int8)
+        for i in range(self.delta + 1):
+            n[i] = self._fusion_rows(i, idx)
+        return n
 
     def _check_index(self, *indices) -> None:
         """Each index is an int or an integer array; all entries must be in range."""
@@ -88,6 +103,6 @@ class Sl2Data:
         the result is then a complex array of their broadcast shape."""
         self._check_index(i, j)
         # every simple is self-dual, so n[i*, j] is n[i, j]
-        total = np.sum(self.n[i, j] * self.twists * self.dims, axis=-1)
+        total = np.sum(self._fusion_rows(i, j) * self._theta_dims, axis=-1)
         value = total / (self.twists[i] * self.twists[j]) / self.big_d
         return value if isinstance(value, np.ndarray) else complex(value)

@@ -14,12 +14,15 @@ from equifuse.formulas import (
     check_conv_eigenbasis,
     check_d_n_associative,
     check_d_s_from_twists,
+    check_d_verlinde,
     check_diagonalization,
     check_ee_verlinde,
     check_ext_even,
     check_ext_odd,
     check_folded_sum,
     check_ring_associative,
+    check_ring_flip_invariant,
+    check_ring_unit_dual,
     diagonalization_matrices,
     ee_verlinde_coeff,
     ext_coeff_a,
@@ -322,6 +325,38 @@ def test_check_fails_on_corrupted_ingredient(name, table, entry, delta, check, p
     ext = ExtData.build(4)
     (ext.ring.l if table == "ring.l" else ext.s_folded)[entry] += delta
     c = check(ext, TOL)
+    assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
+
+
+# One-entry corruptions of an integer table at m=4 (X+ is class 8).  An integer
+# identity passes only at residual 0 and an oracle value only if it rounds to
+# the table's integer, so each row FAILs even at a tolerance above 1.
+INTEGER_CORRUPTIONS = [
+    ("c-ee-verlinde", "ring.l", (2, 4, 6), check_ee_verlinde, "m=4", 1.0000000000000004),
+    ("c-even-formula", "ring.l", (2, 3, 5), check_ext_even, "m=4", 1.0),
+    ("c-odd-formula", "ring.l", (3, 5, 2), check_ext_odd, "m=4", 1.0),
+    ("ring-coefficient-folding", "d.n", (1, 1, 2),
+     lambda ext, tol: check_coefficient_folding(ext.ring, ext.d, tol), "m=4", 1.0),
+    ("d-n-associative", "d.n", (1, 1, 2),
+     lambda ext, tol: check_d_n_associative(ext.d, tol), "kappa=18", 1.0),
+    ("d-verlinde-closed-form", "d.n", (1, 1, 2),
+     lambda ext, tol: check_d_verlinde(ext.d, tol), "kappa=18", 1.0),
+    ("ring-associative", "ring.l", (1, 1, 2),
+     lambda ext, tol: check_ring_associative(ext.ring, tol), "m=4", 2.0),
+    ("ring-flip-invariant", "ring.l", (8, 8, 0),
+     lambda ext, tol: check_ring_flip_invariant(ext.ring, tol), "m=4", 1.0),
+    ("ring-unit-dual", "ring.l", (0, 1, 1),
+     lambda ext, tol: check_ring_unit_dual(ext.ring, tol), "m=4", 1.0),
+]
+
+
+@pytest.mark.parametrize("tol", [2.0, TOL])
+@pytest.mark.parametrize("name, table, entry, check, params, residual", INTEGER_CORRUPTIONS,
+                         ids=[row[0] for row in INTEGER_CORRUPTIONS])
+def test_integer_check_fails_at_any_tolerance(name, table, entry, check, params, residual, tol):
+    ext = ExtData.build(4)
+    (ext.ring.l if table == "ring.l" else ext.d.n)[entry] += 1
+    c = check(ext, tol)
     assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
 
 

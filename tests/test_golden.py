@@ -23,6 +23,8 @@ TABLE_SHA256 = {
     ("d", 6): "fc486a1b0ced99ee01b0eeb7b84587177d11a5b0af40ec1210a5dee867fabfe0",
     ("c", 8): "2a2fe0ab3822a472066ecf9116c403ecff64fac8983fb60b5feb6185012a5b07",
     ("d", 8): "9f113c2ebb98bc98456a0989602987e8786edc7feb6f7b5436e99451489849bf",
+    ("c", 16): "ee8310fb685532343f20b233ea1810e0f29c39c78bd621e82d97cefbd5cfece4",
+    ("d", 16): "9ec79ca8ac04baef4f6fd8613f08e9f4b07c6a00fad74a249e0978703e339b42",
 }
 VERIFY = json.loads((Path(__file__).parent / "golden" / "verify.json").read_text())
 RESIDUAL_TOL = 1e-14

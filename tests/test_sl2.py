@@ -142,3 +142,26 @@ def test_n_tensor_is_int8():
 def test_n_tensor_is_zero_one_and_symmetric(d10):
     assert set(np.unique(d10.n)) <= {0, 1}
     assert np.array_equal(d10.n, d10.n.transpose(1, 0, 2))
+
+
+def test_n_tensor_is_built_on_first_read_and_kept():
+    d = Sl2Data(18)
+    assert "n" not in vars(d)  # construction and s_from_twists leave it unbuilt
+    d.s_from_twists(3, 5)
+    assert "n" not in vars(d)
+    d.n[1, 1, 2] += 1  # a write into the table persists
+    assert d.n[1, 1, 2] == 2
+
+
+def test_s_from_twists_equals_formula_on_n_at_m64():
+    d = Sl2Data(258)
+    rng = np.random.default_rng(64)
+    for i, j in rng.integers(0, d.delta + 1, size=(200, 2)).tolist():
+        # the ribbon formula read on the full fusion table, bit for bit
+        total = np.sum(d.n[i, j] * d.twists * d.dims, axis=-1)
+        want = complex(total / (d.twists[i] * d.twists[j]) / d.big_d)
+        assert d.s_from_twists(i, j) == want, (i, j)
+    i, j = rng.integers(0, d.delta + 1, size=(2, 16))
+    total = np.sum(d.n[i[:, None], j] * d.twists * d.dims, axis=-1)
+    want = total / (d.twists[i[:, None]] * d.twists[j]) / d.big_d
+    assert np.array_equal(d.s_from_twists(i[:, None], j), want)
