@@ -7,6 +7,10 @@ smatrix  print an s-matrix block with row/column labels
 coeff    evaluate one fusion coefficient by a chosen formula
 verify   run the identity battery at --tol; exit 0 iff everything passes
 
+A command builds only the data it reads: the sl2 layer for ``--ring d``,
+``--which d`` and ``--formula verlinde``, the quotient ring for the c table
+and ``--formula oracle``, and the extended algebra for everything else.
+
 --json output is laid out as ``json.dumps(indent=2, sort_keys=True)`` lays it
 out, with every float first cut to 12 significant digits, so repeated runs are
 byte-identical.  Exit codes: 0 success, 1 at least one verification failure,
@@ -34,11 +38,16 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_PAIR = "[\n        %s,\n        %s\n      ]"  # a complex value inside a record
 
 
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it after cutting it to 12 significant digits."""
+    text = f"{x:.12g}"
+    return _NON_FINITE.get(text) or float.__repr__(float(text))
+
+
 def _json_number(x) -> str:
     """A float, bool or int as json.dumps writes it, a float first cut to 12 significant digits."""
     if isinstance(x, float):
-        text = f"{x:.12g}"
-        return _NON_FINITE.get(text) or float.__repr__(float(text))
+        return _json_float(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -47,6 +56,18 @@ def _json_number(x) -> str:
 
 
 def _json_column(values, strings: dict[str, str]) -> list[str]:
+    """Each value encoded as it sits in a record.  A column of one exact type
+    among str, int, float and complex is encoded in one pass; any other
+    column (bools, mixed types, numpy scalars) goes value by value."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return [strings.get(v) or strings.setdefault(v, encode_basestring_ascii(v)) for v in values]
+    if kinds == {float}:
+        return [_json_float(v) for v in values]
+    if kinds == {complex}:
+        return [_JSON_PAIR % (_json_float(v.real), _json_float(v.imag)) for v in values]
+    if kinds == {int}:
+        return [int.__repr__(v) for v in values]
     encoded = []
     for v in values:
         if isinstance(v, str):
@@ -84,10 +105,15 @@ def _d_labels(delta: int) -> list[str]:
     return [f"V{i}" for i in range(delta + 1)]
 
 
+def _sl2_data(m: int) -> Sl2Data:
+    """The sl2 layer alone, behind the same guard, and message, as TypeDRing's."""
+    require_even_m(m)
+    return Sl2Data(4 * m + 2)
+
+
 def _cmd_table(args) -> int:
     if args.ring == "d":
-        require_even_m(args.m)  # the same guard, and message, as TypeDRing's
-        table = Sl2Data(4 * args.m + 2)
+        table = _sl2_data(args.m)
         labels, tensor = _d_labels(table.delta), table.n
     else:
         table = TypeDRing(args.m)
@@ -108,17 +134,21 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
-    ext = ExtData.build(args.m)
     if args.which == "d":
-        row_labels = col_labels = _d_labels(ext.d.delta)
-        block = ext.d.s
-    elif args.which == "c-ee":
-        row_labels = col_labels = [GradedLabel(lab).token() for lab in ext.e_labels]
-        block = ext.s_ee
-    else:  # c-ea
-        row_labels = [GradedLabel(ext.ring.labels[j]).token() for j in ext.odd_classes]
-        col_labels = [GradedLabel(ext.ring.labels[p], True).token() for p in ext.fixed_classes]
-        block = ext.s_ea
+        d = _sl2_data(args.m)
+        kappa, block = d.kappa, d.s
+        row_labels = col_labels = _d_labels(d.delta)
+    else:
+        ext = ExtData.build(args.m)
+        kappa = ext.kappa
+        if args.which == "c-ee":
+            row_labels = col_labels = [GradedLabel(lab).token() for lab in ext.e_labels]
+            block = ext.s_ee
+        else:  # c-ea
+            row_labels = [GradedLabel(ext.ring.labels[j]).token() for j in ext.odd_classes]
+            col_labels = [GradedLabel(ext.ring.labels[p], True).token()
+                          for p in ext.fixed_classes]
+            block = ext.s_ea
 
     if args.json:
         columns = {
@@ -126,7 +156,7 @@ def _cmd_smatrix(args) -> int:
             "col": col_labels * len(row_labels),
             "value": [complex(v) for row in block.tolist() for v in row],
         }
-        _emit_json(args.m, ext.kappa, EPS, columns)
+        _emit_json(args.m, kappa, EPS, columns)
         return 0
     width = max(len(lab) for lab in row_labels + col_labels) + 1
     print(" " * width + "  ".join(f"{lab:>10}" for lab in col_labels))
@@ -136,28 +166,30 @@ def _cmd_smatrix(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    ext = ExtData.build(args.m)
-    value = _evaluate_coeff(ext, args.formula, args.i, args.j, args.k)
+    data, value = _evaluate_coeff(args.m, args.formula, args.i, args.j, args.k)
     nearest, residual = integer_residual(value)
     if args.json:
         columns = {"formula": [args.formula], "i": [args.i], "j": [args.j], "k": [args.k],
                    "value": [value], "nearest": [nearest], "residual": [residual]}
-        _emit_json(args.m, ext.kappa, EPS, columns)
+        _emit_json(args.m, data.kappa, EPS, columns)
         return 0
     print(f"{args.formula}({args.i}, {args.j}, {args.k}) = {value:.12g}"
           f"  [nearest {nearest}, residual {residual:.3e}]")
     return 0
 
 
-def _evaluate_coeff(ext: ExtData, formula: str, i: str, j: str, k: str) -> float:
+def _evaluate_coeff(m: int, formula: str, i: str, j: str,
+                    k: str) -> tuple[Sl2Data | TypeDRing | ExtData, float]:
+    """(the data built, the coefficient): only the layer the formula reads is built."""
     if formula == "verlinde":
-        di, dj, dk = (_parse_d_index(t, ext.d.delta) for t in (i, j, k))
-        return ext.d.verlinde_coeff(di, dj, dk)
+        d = _sl2_data(m)
+        di, dj, dk = (_parse_d_index(t, d.delta) for t in (i, j, k))
+        return d, d.verlinde_coeff(di, dj, dk)
     if formula == "oracle":
-        return float(ext.ring.coeff(i, j, k))
-    if formula == "ext-e":
-        return ext_coeff_e(ext, i, j, k)
-    return ext_coeff_a(ext, i, j, k)
+        ring = TypeDRing(m)
+        return ring, float(ring.coeff(i, j, k))
+    ext = ExtData.build(m)
+    return ext, (ext_coeff_e if formula == "ext-e" else ext_coeff_a)(ext, i, j, k)
 
 
 def _parse_d_index(token: str, delta: int) -> int:

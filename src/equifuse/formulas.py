@@ -145,12 +145,14 @@ def _block_pos(ext: ExtData, x, sector: int) -> int:
 
 def _check(name: str, params: str, tol: float, *residuals) -> Check:
     """The one place residuals become a pass or a fail: the largest absolute
-    entry over all parts, reduced with `np.max` so that a NaN propagates and
-    FAILs.  A real part is reduced through its max and min, which makes no
-    full-size `np.abs` copy; the min is negated as a Python float, so an int8
-    minimum cannot wrap, and the outer `abs` turns an all-zero -0.0 into 0.0."""
-    peaks = [np.max(np.abs(r)) if np.iscomplexobj(r) else np.max([np.max(r), -float(np.min(r))])
-             for r in residuals]
+    entry over all parts, reduced with `np.max` and `np.maximum` so that a
+    NaN propagates and FAILs.  A real part is reduced through its max and
+    min, which makes no full-size `np.abs` copy; the min is negated as a
+    Python float, so an int8 minimum cannot wrap, and the outer `abs` turns
+    an all-zero -0.0 into 0.0.  A part may be a Python scalar (the split-pair
+    routes, vector distances), hence the `np.asarray`."""
+    peaks = [np.abs(r).max() if r.dtype.kind == "c" else np.maximum(r.max(), -float(r.min()))
+             for r in map(np.asarray, residuals)]
     res = abs(float(np.max(peaks)))
     return Check(name, params, res, bool(res < tol))
 

@@ -46,9 +46,10 @@ class Sl2Data:
             raise ValueError(f"kappa must be at least 3, got {kappa}")
         self.kappa = kappa
         self.delta = kappa - 2
+        # Python ints: a numpy index would make every scalar step a numpy call
+        self.twists = np.array([twist(i, kappa) for i in range(self.delta + 1)])
+        self.dims = np.array([quantum_integer(i + 1, kappa) for i in range(self.delta + 1)])
         idx = np.arange(self.delta + 1)
-        self.twists = np.array([twist(i, kappa) for i in idx])
-        self.dims = np.array([quantum_integer(i + 1, kappa) for i in idx])
         self._theta_dims = self.twists * self.dims  # the weights s_from_twists sums
         self.s = np.sqrt(2.0 / kappa) * np.sin(np.outer(idx + 1, idx + 1) * np.pi / kappa)
 

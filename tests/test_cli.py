@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
-from equifuse.cli import main
+from equifuse import cli
+from equifuse.cli import _json_column, main
+from equifuse.extended import ExtData
 
 
 def run_cli(capsys, *argv):
@@ -35,10 +38,48 @@ def test_table_json_schema(capsys):
     assert {"x": "X2", "y": "X3", "z": "X3", "mult": 2} in payload["results"]
 
 
-def test_table_rejects_odd_m(capsys):
-    code, _, err = run_cli(capsys, "table", "--m", "3")
-    assert code == 2
-    assert "even" in err
+EVERY_COMMAND = [
+    ("verify",),
+    ("table",),
+    ("table", "--ring", "d"),
+    *(("smatrix", "--which", which) for which in ("d", "c-ee", "c-ea")),
+    *(("coeff", "--formula", formula, "--i", "0", "--j", "1", "--k", "1")
+      for formula in ("oracle", "verlinde", "ext-e", "ext-a")),
+]
+
+
+@pytest.mark.parametrize("m", ["3", "0"])
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=" ".join)
+def test_rejects_odd_m(capsys, command, m):
+    # every command, whichever layer it builds, rejects m with the ring's message
+    for json_flag in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *command, "--m", m, *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: only even m >= 2 is supported, got {m}\n"
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("this command must not build this layer")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("smatrix", "--which", "d"), ("TypeDRing", "ExtData")),
+        (("coeff", "--formula", "verlinde", "--i", "2", "--j", "3", "--k", "5"),
+         ("TypeDRing", "ExtData")),
+        (("coeff", "--formula", "oracle", "--i", "2", "--j", "3", "--k", "3"),
+         ("Sl2Data", "ExtData")),
+    ],
+    ids=["smatrix-d", "coeff-verlinde", "coeff-oracle"],
+)
+def test_command_builds_only_the_layer_it_reads(capsys, monkeypatch, argv, unused):
+    expected = run_cli(capsys, *argv, "--m", "4", "--json")
+    assert expected[0] == 0
+    for name in unused:
+        monkeypatch.setattr(cli, name, _refuse)
+    assert run_cli(capsys, *argv, "--m", "4", "--json") == expected
 
 
 def test_smatrix_c_ee_values(capsys):
@@ -197,3 +238,32 @@ def test_verify_text_lines(capsys):
     pass_lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
     assert len(pass_lines) == 27
     assert any("c-folded-sum" in ln for ln in pass_lines)
+
+
+def test_verify_tol_2_fails_a_corrupted_table(capsys, monkeypatch):
+    # a wrong multiplicity must FAIL the oracle check whatever the tolerance
+    ext = ExtData.build(4)
+    ext.ring.l[2, 4, 6] += 1
+    monkeypatch.setattr(ExtData, "build", classmethod(lambda cls, m: ext))
+    code, out, _ = run_cli(capsys, "verify", "--m", "4", "--tol", "2")
+    assert code == 1
+    assert any(line.startswith("FAIL  c-ee-verlinde ") for line in out.splitlines())
+    code, out, _ = run_cli(capsys, "verify", "--m", "4", "--tol", "2", "--json")
+    assert code == 1
+    (record,) = [r for r in json.loads(out)["results"] if r["name"] == "c-ee-verlinde"]
+    assert record["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1 / 3, 0.1 + 0.2],
+        [complex(math.nan, 1.0), complex(-0.0, math.inf), 1j, 0.5 - 2e-300j],
+        [0, -1, 2**70, 7],
+        ["V0", 'a "quoted" \\ backslash', "\u0663", "\x00\n\t", "V0"],
+    ],
+    ids=["float", "complex", "int", "str"],
+)
+def test_json_column_of_one_type_equals_value_by_value(values):
+    # a trailing bool sends the column down the value-by-value path
+    assert _json_column(values, {}) == _json_column([*values, True], {})[:-1]

@@ -9,9 +9,7 @@ recursion for `l` run in int8), so a temporary copy of a whole table, or a
 table stored in a wider type, shows up as a failure.
 """
 
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +17,6 @@ import pytest
 from equifuse.extended import ExtData
 from equifuse.ring import TypeDRing
 from equifuse.sl2 import Sl2Data
-
-REFERENCE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
 
 # bytes, measured with this construction; a peak may exceed it by 10%
 MEASURED_PEAK = {"Sl2Data(130).n": 2_356_687, "TypeDRing(32)": 590_930}
@@ -34,14 +30,6 @@ def _traced_peak(build) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-@pytest.fixture(scope="module")
-def reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("m", [*range(2, 17, 2), 64])
