@@ -148,6 +148,11 @@ def exceptional_cross(m: int) -> float:
     return _split_pair_entry(m, -1.0)
 
 
+def unitarity_residual(s: np.ndarray) -> np.ndarray:
+    """s s^T minus the identity: zero iff the real square matrix s is unitary."""
+    return s @ s.T - np.eye(len(s))
+
+
 def exceptional_diag_via_twists(ext: "ExtData") -> float:
     """The diagonal split-pair entry recomputed from ribbon data:
     theta_{2m}^(-2) * sum of theta * dim over the X+ (x) X+ decomposition,
@@ -196,7 +201,9 @@ class ExtData:
     s_ee : (m+2, m+2) float array
         Pairings (s lambda_x, lambda_y): twice the sl2 entry between even
         classes, the sl2 middle row against the split pair, and the
-        closed-form entries on the pair itself.  Symmetric unitary.
+        closed-form entries on the pair itself.  Symmetric; construction
+        raises unless its `unitarity_residual`, the array `c-see-unitary`
+        reports, is below EPS.
     s_ea : (m, m) float array
         Pairings (s lambda_j, flipped_p) for odd j against fixed even p,
         equal to twice the sl2 entry.
@@ -245,7 +252,7 @@ class ExtData:
         )
         self.big_d_c = d.big_d / 2.0
 
-        err = np.max(np.abs(ee @ ee.T - np.eye(m + 2)))
+        err = np.max(np.abs(unitarity_residual(ee)))
         if err >= EPS:
             raise ConstructionError(f"assembled block is not unitary (residual {err:.3e})")
 

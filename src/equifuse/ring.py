@@ -91,6 +91,9 @@ class TypeDRing:
     action : int array
         Permutation realizing the order-two symmetry: fixes every X_i and
         exchanges X+ with X-.
+
+    The build guards and the battery read the same residual methods:
+    `unit_dual_residuals`, `flip_residuals` and `merge_with_balance`.
     """
 
     def __init__(self, m: int):
@@ -157,22 +160,31 @@ class TypeDRing:
         l = self.l
         if not np.array_equal(l, l.transpose(1, 0, 2)):
             raise InconsistencyError("derived multiplication table is not commutative")
-        eye = np.eye(self.size, dtype=np.int8)
-        if not np.array_equal(l[0], eye):
+        unit, dual = self.unit_dual_residuals()
+        if unit.any():
             raise InconsistencyError("X0 is not a unit")
-        if not np.array_equal(l[:, :, 0], eye):
+        if dual.any():
             raise InconsistencyError("self-duality failed: X0 content of x (x) y is not delta_xy")
         wrong = self.sectors[:, None] ^ self.sectors ^ 1  # wrong[x, y]: the sector x (x) y misses
         for v in (0, 1):  # the pairs that must miss sector v, read on its output columns
             if l[wrong == v][:, self.sectors == v].any():
                 raise InconsistencyError("grading is not additive under multiplication")
-        a, moved = self.action, np.flatnonzero(self.action != np.arange(self.size))
-        for axis in range(3):  # an entry the flip changes has a moved class on some axis
-            flipped = l.take(a[moved], axis)
-            for other in {0, 1, 2} - {axis}:
-                flipped = flipped.take(a, other)
-            if not np.array_equal(flipped, l.take(moved, axis)):
-                raise InconsistencyError("multiplication table is not flip-invariant")
+        if any(slab.any() for slab in self.flip_residuals()):
+            raise InconsistencyError("multiplication table is not flip-invariant")
+
+    def unit_dual_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X0 row and the X0 output column of the table minus the
+        identity: zero iff X0 is a strict unit and every class is self-dual."""
+        eye = np.eye(self.size, dtype=np.int64)
+        return self.l[0] - eye, self.l[:, :, 0] - eye
+
+    def flip_residuals(self) -> list[np.ndarray]:
+        """The flipped table minus the table on three slabs, one per axis,
+        holding the classes the flip moves: an entry with no moved class maps
+        to itself, so the slabs hold every nonzero entry of the difference."""
+        l, a, moved = self.l, self.action, np.flatnonzero(self.action != np.arange(self.size))
+        return [l.take(a[moved], axis).take(a, (axis + 1) % 3).take(a, (axis + 2) % 3)
+                - l.take(moved, axis) for axis in range(3)]
 
     def index(self, x) -> int:
         """Position in `labels` of a class in any spelling `canonical_label`
@@ -194,16 +206,19 @@ class TypeDRing:
         row = self.l[self.index(x), self.index(y)]
         return {self.labels[z]: int(row[z]) for z in np.nonzero(row)[0]}
 
+    def merge_with_balance(self) -> tuple[np.ndarray, np.ndarray]:
+        """`combined_tensor` unchecked, and its balance residual: the X+
+        minus the X- multiplicity of each merged product."""
+        prod = push_forward(push_forward(self.l, self.descent), self.descent, axis=1)
+        return prod[:, :, : self.plus + 1], prod[:, :, self.plus] - prod[:, :, self.minus]
+
     def combined_tensor(self) -> np.ndarray:
         """Multiplication table on the merged range 0..2m, where index 2m
         stands for the sum X+ + X-: the table pushed along `descent` on both
-        input slots.
-
-        The coefficient at output slot 2m is the common multiplicity of X+
-        and X-; products of merged inputs must weight the two halves equally
-        or the merge is ill-defined.
-        """
-        prod = push_forward(push_forward(self.l, self.descent), self.descent, axis=1)
-        if not np.array_equal(prod[:, :, self.plus], prod[:, :, self.minus]):
+        input slots.  Output slot 2m holds the common multiplicity of X+ and
+        X-; a product that weights the two unequally makes the merge
+        ill-defined and raises."""
+        merged, unbalanced = self.merge_with_balance()
+        if unbalanced.any():
             raise InconsistencyError("split-pair multiplicities are unbalanced")
-        return prod[:, :, : self.plus + 1]  # X+ stands for the merged output slot
+        return merged

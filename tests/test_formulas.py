@@ -360,6 +360,44 @@ def test_integer_check_fails_at_any_tolerance(name, table, entry, check, params,
     assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
 
 
+def _bump_ring(*entries):
+    def corrupt(ext):
+        for entry in entries:
+            ext.ring.l[entry] += 1
+    return corrupt
+
+
+def _rotate_twists(ext):
+    ext.thetas *= np.exp(0.1j)  # a common phase survives the twist route's ratio
+
+
+def _shift_s_ee(ext):
+    ext.s_ee[0, 0] += 1e-6
+
+
+# Corruptions of a built m=4 object (X+ is class 8) that the constructors
+# would reject, each with the checks it must FAIL when the whole battery runs.
+BATTERY_CORRUPTIONS = [
+    ("unit", _bump_ring((0, 1, 1)), {"ring-unit-dual"}),
+    ("flip-x0-column", _bump_ring((8, 8, 0)), {"ring-flip-invariant", "exc-twist-route"}),
+    ("flip-split-output", _bump_ring((2, 8, 8), (8, 2, 8)),
+     {"ring-flip-invariant", "ring-coefficient-folding"}),
+    ("unbalanced-split-pair", _bump_ring((1, 3, 8)), {"ring-coefficient-folding"}),
+    ("complex-twist-route", _rotate_twists, {"exc-twist-route"}),
+    ("non-unitary-s-ee", _shift_s_ee, {"c-see-unitary"}),
+]
+
+
+@pytest.mark.parametrize("corrupt, names", [row[1:] for row in BATTERY_CORRUPTIONS],
+                         ids=[row[0] for row in BATTERY_CORRUPTIONS])
+def test_battery_reports_a_corrupted_build_as_failures(monkeypatch, corrupt, names):
+    ext = ExtData.build(4)
+    corrupt(ext)
+    monkeypatch.setattr(ExtData, "build", classmethod(lambda cls, m: ext))
+    report = verify_all(4)
+    assert names <= {c.name for c in report.failures()}
+
+
 def test_checks_expose_even_and_odd_formulas(ext):
     assert check_ext_even(ext, TOL).passed
     assert check_ext_odd(ext, TOL).passed

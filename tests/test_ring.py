@@ -99,6 +99,20 @@ def test_flip_invariance(ring):
     assert np.array_equal(ring.l[np.ix_(a, a, a)], ring.l)
 
 
+def test_flip_residual_slabs_equal_the_full_gather():
+    # every single-entry +-1 corruption, in one loop: the gather is the oracle
+    for m in (2, 4):
+        ring = TypeDRing(m)
+        a, table = ring.action, ring.l
+        for entry in np.ndindex(table.shape):
+            for delta in (1, -1):
+                ring.l = table.copy()
+                ring.l[entry] += delta
+                slabs = max(np.abs(slab).max() for slab in ring.flip_residuals())
+                gather = np.abs(ring.l[np.ix_(a, a, a)] - ring.l).max()
+                assert slabs == gather, (m, entry, delta)
+
+
 def test_unit_and_duality(ring):
     eye = np.eye(ring.size, dtype=np.int64)
     assert np.array_equal(ring.l[0], eye)
