@@ -1,10 +1,10 @@
 """Verlinde-formula evaluators for the extended algebra and the battery of
 numerical identity checks behind `verify_all`.
 
-Each Verlinde formula is a tuple of s-matrix row blocks (x, y, z, unit);
-its summand x[i] y[j] z[k] / unit is written once, in `_summands`.  Point
-evaluators index the rows with ints and block checks with `np.ix_` arrays,
-so a block check equals its loop of point calls bit for bit.
+Each Verlinde formula is a tuple of s-matrix row blocks (x, y, z, unit),
+summed by the two forms `sl2` owns: `verlinde_summands` for a point
+evaluator, `verlinde_block` (one 2-D matrix product) for a block check.  They
+sum in different orders, so the two agree to within 2 ulps, not bit for bit.
 
 Every evaluator is checked against the integer fusion tables, which act as
 the oracle: a coefficient counts as reproduced only if it both rounds to the
@@ -39,7 +39,7 @@ from .extended import (
     unitarity_residual,
 )
 from .ring import TypeDRing, push_forward
-from .sl2 import Sl2Data
+from .sl2 import Sl2Data, verlinde_block, verlinde_summands
 
 
 @dataclass
@@ -68,14 +68,6 @@ class VerificationReport:
 
 
 # -- evaluators -------------------------------------------------------------
-#
-# `_summands` takes int positions for one coefficient's summands, or `np.ix_`
-# arrays for a whole block of them (summands on the last axis).
-
-
-def _summands(rows, i, j, k) -> np.ndarray:
-    x, y, z, unit = rows
-    return x[i] * y[j] * z[k] / unit
 
 
 def _ee_rows(ext: ExtData):
@@ -98,14 +90,14 @@ def ee_verlinde_coeff(ext: ExtData, x, y, z) -> float:
     """Fusion coefficient of z in x (x) y for untwisted identity-block
     labels, via the unitary block s-matrix: one summand per basis column."""
     px, py, pz = _block_pos(ext, x, 0), _block_pos(ext, y, 0), _block_pos(ext, z, 0)
-    return float(np.sum(_summands(_ee_rows(ext), px, py, pz)))
+    return float(np.sum(verlinde_summands(_ee_rows(ext), px, py, pz)))
 
 
 def ext_coeff_e_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands of the transfer formula for i in the untwisted identity
     block and j, k odd; columns run over the flip-fixed even classes."""
-    return _summands(_e_rows(ext), _block_pos(ext, i, 0), _block_pos(ext, j, 1),
-                     _block_pos(ext, k, 1))
+    return verlinde_summands(_e_rows(ext), _block_pos(ext, i, 0), _block_pos(ext, j, 1),
+                             _block_pos(ext, k, 1))
 
 
 def ext_coeff_e(ext: ExtData, i, j, k) -> float:
@@ -123,8 +115,8 @@ def ext_coeff_e(ext: ExtData, i, j, k) -> float:
 
 def ext_coeff_a_terms(ext: ExtData, i, j, k) -> np.ndarray:
     """Summands for i, j odd and k in the untwisted identity block."""
-    return _summands(_a_rows(ext), _block_pos(ext, i, 1), _block_pos(ext, j, 1),
-                     _block_pos(ext, k, 0))
+    return verlinde_summands(_a_rows(ext), _block_pos(ext, i, 1), _block_pos(ext, j, 1),
+                             _block_pos(ext, k, 0))
 
 
 def ext_coeff_a(ext: ExtData, i, j, k) -> float:
@@ -173,8 +165,8 @@ def _associativity(t: np.ndarray) -> np.ndarray:
 
     With rows = t viewed as an (a*a, a) matrix, the left side is
     rows @ t[r, (k, l)], and the right side sum_r t[j, k, r] t[i, r, l] is
-    the stacked product rows @ t[i], which already lies in [i, (j, k), l]
-    order.  The entries are integers, so every partial sum is an integer of
+    rows @ t[r, (i, l)], moved from [j, k, i, l] into [i, j, k, l] order.
+    The entries are integers, so every partial sum is an integer of
     size at most a * max|t|^2; below 2^53 the products are exact and equal
     the integer contraction entry for entry.  Larger tables raise ValueError.
     """
@@ -184,7 +176,7 @@ def _associativity(t: np.ndarray) -> np.ndarray:
     f = t.astype(np.float64)
     rows = f.reshape(a * a, a)
     lhs = (rows @ f.reshape(a, a * a)).reshape(a, a, a, a)
-    lhs -= np.matmul(rows, f).reshape(a, a, a, a)
+    lhs -= (rows @ f.transpose(1, 0, 2).reshape(a, a * a)).reshape(a, a, a, a).transpose(2, 0, 1, 3)
     return lhs
 
 
@@ -224,14 +216,11 @@ def check_d_folds(d: Sl2Data, tol: float) -> list[Check]:
     """Reflection symmetries of the sine matrix: rows k and delta-k cancel
     on odd columns, agree on even columns, and the middle row vanishes on
     odd columns."""
-    s, delta = d.s, d.delta
-    odd = np.arange(1, delta + 1, 2)
-    even = np.arange(0, delta + 1, 2)
-    params = f"kappa={d.kappa}"
+    s, params = d.s, f"kappa={d.kappa}"
     return [
-        _check("d-fold-odd-columns", params, tol, s[:, odd] + s[::-1][:, odd]),
-        _check("d-fold-even-columns", params, tol, s[:, even] - s[::-1][:, even]),
-        _check("d-fold-middle-row", params, tol, s[delta // 2, odd]),
+        _check("d-fold-odd-columns", params, tol, s[:, 1::2] + s[::-1, 1::2]),
+        _check("d-fold-even-columns", params, tol, s[:, ::2] - s[::-1, ::2]),
+        _check("d-fold-middle-row", params, tol, s[d.delta // 2, 1::2]),
     ]
 
 
@@ -307,9 +296,8 @@ def _oracle_check(name: str, ext: ExtData, tol: float, rows, classes) -> Check:
     table on the same triples.  A value that rounds to a different integer
     than the table's is at least 1/2 away from it, so `_integer_check` FAILs
     a wrong coefficient under any tolerance."""
-    values = _summands(rows, *np.ix_(*(range(len(c)) for c in classes))).sum(axis=-1)
-    oracle = ext.ring.l[np.ix_(*classes)]
-    return _integer_check(name, f"m={ext.m}", tol, values - oracle)
+    return _integer_check(name, f"m={ext.m}", tol,
+                          verlinde_block(rows) - ext.ring.l[np.ix_(*classes)])
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
@@ -395,17 +383,17 @@ def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
 
 
 def _folded_rows(ext: ExtData, parity: int):
-    """Row blocks of the sum-transfer identity for j of the given parity: the
-    quotient side, read at rows (i//2, j//2, k//2) for k of j's parity only,
-    and the sl2 side, read at the merged indices (i, j, k).  The quotient
-    side pairs even t through s_ee_merged, which merges the split pair at
-    t = 2m."""
+    """Row blocks of the sum-transfer identity for even i and j of the given
+    parity, cut to exactly the rows the identity reads: the quotient side at
+    rows (i//2, j//2, k//2) for k of j's parity only, and the sl2 side at
+    rows (i//2, j//2, k).  The quotient side pairs even t through
+    s_ee_merged, which merges the split pair at t = 2m."""
     m, s, merged = ext.m, ext.d.s, ext.s_ee_merged
     if parity:  # odd sector: columns are the flip-fixed even classes
         quotient = merged[:, :m], ext.s_ea, ext.s_ea, ext.s_ee[0, :m]
     else:  # identity block: columns are its full basis; a single split element at k = 2m
-        quotient = merged, merged, ext.s_ee, ext.s_ee[0]
-    return quotient, (s, s, ext.s_folded, s[0])
+        quotient = merged, merged, ext.s_ee[: m + 1], ext.s_ee[0]
+    return quotient, (s[: 2 * m + 1 : 2], s[parity : 2 * m + 1 : 2], ext.s_folded, s[0])
 
 
 def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float]:
@@ -424,24 +412,20 @@ def folded_sum_sides(ext: ExtData, i: int, j: int, k: int) -> tuple[float, float
     for t in (i, j, k):
         if not 0 <= t <= 2 * ext.m:
             raise ValueError(f"index {t} outside the merged range 0..{2 * ext.m}")
-    parity = j % 2
-    quotient, sl2 = _folded_rows(ext, parity)
-    lhs = float(np.sum(_summands(quotient, i // 2, j // 2, k // 2))) if k % 2 == parity else 0.0
-    return lhs, float(np.sum(_summands(sl2, i, j, k)))
+    quotient, sl2 = _folded_rows(ext, j % 2)
+    same = k % 2 == j % 2  # the quotient side is 0 for k of the other parity
+    lhs = float(np.sum(verlinde_summands(quotient, i // 2, j // 2, k // 2))) if same else 0.0
+    return lhs, float(np.sum(verlinde_summands(sl2, i // 2, j // 2, k)))
 
 
 def check_folded_sum(ext: ExtData, tol: float) -> Check:
-    m = ext.m
     parts = []
     for parity in (0, 1):  # the branches sum over different column sets
         quotient, sl2 = _folded_rows(ext, parity)
-        i, j, k = np.ix_(range(0, 2 * m + 1, 2), range(parity, 2 * m + 1, 2), range(2 * m + 1))
-        rhs = _summands(sl2, i, j, k).sum(axis=-1)
-        lhs = np.zeros_like(rhs)
-        same = k[..., parity::2]  # the quotient side is 0 for k of the other parity
-        lhs[:, :, parity::2] = _summands(quotient, i // 2, j // 2, same // 2).sum(axis=-1)
-        parts.append(lhs - rhs)
-    return _check("c-folded-sum", f"m={m}", tol, *parts)
+        residual = -verlinde_block(sl2)
+        residual[:, :, parity::2] += verlinde_block(quotient)  # quotient: k of j's parity only
+        parts.append(residual)
+    return _check("c-folded-sum", f"m={ext.m}", tol, *parts)
 
 
 # -- the full battery ---------------------------------------------------------

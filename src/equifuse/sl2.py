@@ -3,7 +3,8 @@
 Simple objects are indexed 0..delta with delta = kappa - 2; all of them are
 self-dual.  The s-matrix is stored in its closed sine form.  The alternative
 route through twists and fusion multiplicities (`s_from_twists`) is kept as
-an independent consistency check, not as a constructor.
+an independent consistency check, not as a constructor.  The Verlinde sum
+over s-matrix row blocks is written here once, for every layer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,20 @@ import math
 import numpy as np
 
 from .arith import EPS, quantum_integer, twist
+
+
+def verlinde_summands(rows, i, j, k) -> np.ndarray:
+    """Summands x[i] y[j] z[k] / unit of one Verlinde coefficient."""
+    x, y, z, unit = rows
+    return x[i] * y[j] * z[k] / unit
+
+
+def verlinde_block(rows) -> np.ndarray:
+    """out[i, j, k] = sum_p x[i,p] y[j,p] z[k,p] / unit[p] as one 2-D matrix
+    product, summed in another order than `verlinde_summands` (a few ulps)."""
+    x, y, z, unit = rows
+    pairs = (x[:, None] * y[None]).reshape(-1, len(unit))
+    return (pairs @ (z / unit).T).reshape(len(x), len(y), len(z))
 
 
 class Sl2Data:
@@ -82,6 +97,8 @@ class Sl2Data:
         """Each index is an int or an integer array; all entries must be in range."""
         for i in indices:
             lo, hi = (i.min(), i.max()) if isinstance(i, np.ndarray) else (i, i)
+            if isinstance(lo, (bool, np.bool_)):  # also a bool array's min; numpy reads a mask
+                raise ValueError(f"object index {i!r} is a bool, not an integer")
             if not (0 <= lo and hi <= self.delta):
                 raise ValueError(f"object index {i} outside 0..{self.delta}")
 
@@ -89,12 +106,11 @@ class Sl2Data:
         """Verlinde formula sum_p s[i,p] s[j,p] s[k*,p] / s[0,p]; every simple
         is self-dual, so k* is k."""
         self._check_index(i, j, k)
-        row = self.s[i] * self.s[j] * self.s[k] / self.s[0]
-        return float(np.sum(row))
+        return float(np.sum(verlinde_summands((self.s, self.s, self.s, self.s[0]), i, j, k)))
 
     def verlinde_tensor(self) -> np.ndarray:
         """All Verlinde coefficients at once, shape (delta+1,)^3."""
-        return np.einsum("ip,jp,kp->ijk", self.s, self.s, self.s / self.s[0])
+        return verlinde_block((self.s, self.s, self.s, self.s[0]))
 
     def s_from_twists(self, i, j):
         """s[i, j] recomputed from ribbon data:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from equifuse.sl2 import Sl2Data
+from equifuse.sl2 import Sl2Data, verlinde_block, verlinde_summands
 
 TOL = 1e-9
 
@@ -39,6 +39,17 @@ def test_fusion_coeff_range_error(d10):
         d10.verlinde_coeff(-1, 0, 0)
 
 
+@pytest.mark.parametrize("index", [True, np.True_, np.array([False, True])],
+                         ids=["bool", "numpy-bool", "bool-array"])
+def test_bool_index_is_rejected(d10, index):
+    # numpy would read a bool as a mask: verlinde_coeff(True, 1, 2) gave 2.0
+    # where V1 (x) V1 holds V2 once, and s_from_twists(True, 2) a whole row
+    with pytest.raises(ValueError, match="bool"):
+        d10.verlinde_coeff(index, 1, 2)
+    with pytest.raises(ValueError, match="bool"):
+        d10.s_from_twists(2, index)
+
+
 def test_s_matrix_values(d10):
     assert abs(d10.s[0, 0] - math.sqrt(0.2) * math.sin(math.pi / 10)) < TOL
     assert abs(d10.s[0, 0] - 0.138197) < 1e-6
@@ -71,6 +82,16 @@ def test_s_unitary_and_symmetric(kappa):
     eye = np.eye(d.delta + 1)
     assert np.max(np.abs(d.s @ d.s.T - eye)) < TOL
     assert np.max(np.abs(d.s - d.s.T)) < TOL
+
+
+def test_verlinde_block_equals_summand_loop():
+    # row blocks of four different sizes, so a swapped or dropped block shows
+    rng = np.random.default_rng(7)
+    rows = (*(rng.uniform(-1.0, 1.0, (n, 5)) for n in (2, 3, 4)), rng.uniform(0.5, 2.0, 5))
+    block = verlinde_block(rows)
+    loop = [np.sum(verlinde_summands(rows, i, j, k)) for i, j, k in np.ndindex(2, 3, 4)]
+    assert block.shape == (2, 3, 4)
+    np.testing.assert_allclose(block.ravel(), loop, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kappa", [10, 18, 26])
