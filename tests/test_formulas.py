@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from equifuse.arith import integer_residual
-from equifuse import formulas
+from equifuse import extended, formulas
 from equifuse.errors import UnsupportedCaseError
 from equifuse.extended import CHANGE_OF_BASIS, ExtData
 from equifuse.formulas import (
@@ -32,10 +33,9 @@ from equifuse.formulas import (
     ext_coeff_e,
     ext_coeff_e_terms,
     folded_sum_sides,
+    run_battery,
     verify_all,
 )
-from equifuse.ring import TypeDRing
-from equifuse.sl2 import Sl2Data
 
 TOL = 1e-9
 
@@ -165,7 +165,7 @@ def test_coefficient_folding_spots(e2):
 
 
 def test_coefficient_folding_check(ext):
-    check = check_coefficient_folding(ext.ring, ext.d, TOL)
+    check = check_coefficient_folding(ext, TOL)
     assert check.passed and check.max_residual == 0.0
 
 
@@ -287,6 +287,13 @@ def test_check_reports_largest_magnitude():
     assert _check("x", "", 1e-9, np.array([1.0]), np.array([-4j, 2.0])).max_residual == 4.0
 
 
+def test_check_reads_an_empty_part_as_zero():
+    for empty in (np.zeros(0), np.zeros((0, 3), complex), np.zeros(0, np.int8)):
+        assert _check("x", "", 1e-9, empty) == Check("x", "", 0.0, True)
+    assert _check("x", "", 1e-9, np.zeros(0), np.array([-2e-12])).max_residual == 2e-12
+    assert _check("x", "", 1e-9, np.array([-128], np.int8)).max_residual == 128.0
+
+
 def test_check_residuals_are_never_negative_zero():
     # the golden test compares within 1e-14, so it cannot see a sign flip
     for c in verify_all(4).checks:
@@ -337,18 +344,12 @@ INTEGER_CORRUPTIONS = [
     ("c-ee-verlinde", "ring.l", (2, 4, 6), check_ee_verlinde, "m=4", 1.0000000000000004),
     ("c-even-formula", "ring.l", (2, 3, 5), check_ext_even, "m=4", 0.9999999999999998),
     ("c-odd-formula", "ring.l", (3, 5, 2), check_ext_odd, "m=4", 1.0),
-    ("ring-coefficient-folding", "d.n", (1, 1, 2),
-     lambda ext, tol: check_coefficient_folding(ext.ring, ext.d, tol), "m=4", 1.0),
-    ("d-n-associative", "d.n", (1, 1, 2),
-     lambda ext, tol: check_d_n_associative(ext.d, tol), "kappa=18", 1.0),
-    ("d-verlinde-closed-form", "d.n", (1, 1, 2),
-     lambda ext, tol: check_d_verlinde(ext.d, tol), "kappa=18", 1.0),
-    ("ring-associative", "ring.l", (1, 1, 2),
-     lambda ext, tol: check_ring_associative(ext.ring, tol), "m=4", 2.0),
-    ("ring-flip-invariant", "ring.l", (8, 8, 0),
-     lambda ext, tol: check_ring_flip_invariant(ext.ring, tol), "m=4", 1.0),
-    ("ring-unit-dual", "ring.l", (0, 1, 1),
-     lambda ext, tol: check_ring_unit_dual(ext.ring, tol), "m=4", 1.0),
+    ("ring-coefficient-folding", "d.n", (1, 1, 2), check_coefficient_folding, "m=4", 1.0),
+    ("d-n-associative", "d.n", (1, 1, 2), check_d_n_associative, "kappa=18", 1.0),
+    ("d-verlinde-closed-form", "d.n", (1, 1, 2), check_d_verlinde, "kappa=18", 1.0),
+    ("ring-associative", "ring.l", (1, 1, 2), check_ring_associative, "m=4", 2.0),
+    ("ring-flip-invariant", "ring.l", (8, 8, 0), check_ring_flip_invariant, "m=4", 1.0),
+    ("ring-unit-dual", "ring.l", (0, 1, 1), check_ring_unit_dual, "m=4", 1.0),
 ]
 
 
@@ -362,31 +363,79 @@ def test_integer_check_fails_at_any_tolerance(name, table, entry, check, params,
     assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
 
 
-def _bump_ring(*entries):
-    def corrupt(ext):
+def _add(table, delta, *entries):
+    """Add delta to entries of one table of the built object, named by its
+    path from it, e.g. "d.s" or "ring.l"."""
+    def corrupt(ext, monkeypatch):
         for entry in entries:
-            ext.ring.l[entry] += 1
+            attrgetter(table)(ext)[entry] += delta
     return corrupt
 
 
-def _rotate_twists(ext):
-    ext.thetas *= np.exp(0.1j)  # a common phase survives the twist route's ratio
+def _scale(table, factor, entry=...):
+    def corrupt(ext, monkeypatch):
+        attrgetter(table)(ext)[entry] *= factor
+    return corrupt
 
 
-def _shift_s_ee(ext):
-    ext.s_ee[0, 0] += 1e-6
+def _move_x1_x1_unit(ext, monkeypatch):
+    ext.ring.l[1, 1, 0] = 0  # X1 X1 = X0 + X2 becomes 2 X2
+    ext.ring.l[1, 1, 2] = 2
+
+
+def _swap_x2_x4_flip(ext, monkeypatch):
+    ext.ring.action[[2, 4]] = ext.ring.action[[4, 2]]
+
+
+def _scale_gauss_route(ext, monkeypatch):
+    reciprocal = extended.gauss_sum_reciprocal
+    monkeypatch.setattr(extended, "gauss_sum_reciprocal", lambda *a: 1.01 * reciprocal(*a))
 
 
 # Corruptions of a built m=4 object (X+ is class 8) that the constructors
-# would reject, each with the checks it must FAIL when the whole battery runs.
+# would reject, each with every check it FAILs when the whole battery runs;
+# all other checks must pass.  The rows together trip every check name.
 BATTERY_CORRUPTIONS = [
-    ("unit", _bump_ring((0, 1, 1)), {"ring-unit-dual"}),
-    ("flip-x0-column", _bump_ring((8, 8, 0)), {"ring-flip-invariant", "exc-twist-route"}),
-    ("flip-split-output", _bump_ring((2, 8, 8), (8, 2, 8)),
-     {"ring-flip-invariant", "ring-coefficient-folding"}),
-    ("unbalanced-split-pair", _bump_ring((1, 3, 8)), {"ring-coefficient-folding"}),
-    ("complex-twist-route", _rotate_twists, {"exc-twist-route"}),
-    ("non-unitary-s-ee", _shift_s_ee, {"c-see-unitary"}),
+    ("unit", _add("ring.l", 1, (0, 1, 1)),
+     {"ring-unit-dual", "ring-associative", "ring-coefficient-folding", "ring-dimension-hom",
+      "c-even-formula"}),
+    ("flip-x0-column", _add("ring.l", 1, (8, 8, 0)),
+     {"ring-flip-invariant", "exc-twist-route", "ring-associative", "ring-coefficient-folding",
+      "ring-dimension-hom", "ring-unit-dual", "c-ee-verlinde"}),
+    ("flip-split-output", _add("ring.l", 1, (2, 8, 8), (8, 2, 8)),
+     {"ring-flip-invariant", "ring-coefficient-folding", "ring-associative",
+      "ring-dimension-hom", "c-ee-verlinde"}),
+    ("unbalanced-split-pair", _add("ring.l", 1, (1, 3, 8)),
+     {"ring-coefficient-folding", "ring-flip-invariant", "ring-associative",
+      "ring-dimension-hom", "c-odd-formula", "c-diagonalization"}),
+    # a common phase survives the twist route's ratio
+    ("complex-twist-route", _scale("thetas", np.exp(0.1j)), {"exc-twist-route"}),
+    ("non-unitary-s-ee", _add("s_ee", 1e-6, (0, 0)),
+     {"c-see-unitary", "c-ee-verlinde", "c-even-formula", "c-odd-formula",
+      "c-diagonalization", "c-folded-sum"}),
+    ("non-symmetric-s", _add("d.s", 1e-6, (1, 2)),
+     {"d-s-symmetric", "d-fold-even-columns", "d-s-unitary", "d-modular-relation",
+      "d-s-via-twists", "d-verlinde-closed-form", "c-folded-sum"}),
+    ("s-odd-column", _add("d.s", 1e-6, (8, 1)),
+     {"d-fold-odd-columns", "d-fold-middle-row", "d-s-symmetric", "d-s-unitary",
+      "d-modular-relation", "d-s-via-twists", "d-verlinde-closed-form"}),
+    ("s-middle-entry", _add("d.s", 1e-6, (8, 8)),
+     {"exc-pair-sum", "d-s-unitary", "d-modular-relation", "d-s-via-twists",
+      "d-verlinde-closed-form", "c-folded-sum"}),
+    ("sl2-table", _add("d.n", 1, (1, 1, 2)),
+     {"d-n-associative", "d-verlinde-closed-form", "ring-coefficient-folding"}),
+    ("sl2-twist-sign", _scale("d.twists", -1, 3), {"d-modular-relation", "d-s-via-twists"}),
+    ("ring-table", _move_x1_x1_unit,
+     {"ring-associative", "ring-dimension-hom", "c-odd-formula", "c-diagonalization",
+      "ring-coefficient-folding", "ring-unit-dual"}),
+    ("non-symmetric-s-ee", _add("s_ee", 1e-6, (1, 2)),
+     {"c-see-symmetric", "c-ee-verlinde", "c-even-formula", "c-see-unitary", "c-odd-formula",
+      "c-diagonalization", "c-folded-sum"}),
+    ("s-ea-scale", _scale("s_ea", 1.01, (0, 0)),
+     {"c-sea-unitary", "c-even-formula", "c-odd-formula", "c-diagonalization",
+      "c-folded-sum"}),
+    ("flip-swaps-x2-x4", _swap_x2_x4_flip, {"c-conv-eigenbasis", "ring-flip-invariant"}),
+    ("gauss-route", _scale_gauss_route, {"exc-gauss-route"}),
 ]
 
 
@@ -394,10 +443,33 @@ BATTERY_CORRUPTIONS = [
                          ids=[row[0] for row in BATTERY_CORRUPTIONS])
 def test_battery_reports_a_corrupted_build_as_failures(monkeypatch, corrupt, names):
     ext = ExtData.build(4)
-    corrupt(ext)
-    monkeypatch.setattr(ExtData, "build", classmethod(lambda cls, m: ext))
-    report = verify_all(4)
-    assert names <= {c.name for c in report.failures()}
+    corrupt(ext, monkeypatch)
+    assert {c.name for c in run_battery(ext).failures()} == names
+
+
+def test_battery_corruptions_trip_every_check():
+    every_name = {c.name for c in run_battery(ExtData.build(4)).checks}
+    assert len(every_name) == 26
+    assert set().union(*(row[2] for row in BATTERY_CORRUPTIONS)) == every_name
+
+
+def test_battery_reports_a_flip_that_moves_no_class():
+    # the flip residuals are then empty slabs, which read as 0
+    ext = ExtData.build(4)
+    ext.ring.action[:] = np.arange(ext.ring.size)
+    report = run_battery(ext)
+    assert len(report.checks) == len(verify_all(4).checks)
+
+
+def test_battery_calls_the_module_attributes_when_it_runs(monkeypatch):
+    # the tracer wraps the module attributes; a check list bound at import
+    # would call the originals and leave the per-check spans empty
+    calls = []
+    original = formulas.check_folded_sum
+    monkeypatch.setattr(formulas, "check_folded_sum",
+                        lambda ext, tol: calls.append(tol) or original(ext, tol))
+    run_battery(ExtData.build(2), TOL)
+    assert calls == [TOL]
 
 
 def test_checks_expose_even_and_odd_formulas(ext):
@@ -491,7 +563,7 @@ def test_s_via_twists_check_equals_point_loop(ext_to_8):
     want = max(abs(d.s_from_twists(i, j) - d.s[i, j]) for i in span for j in span)
     # numpy divides complex scalars and complex arrays with different
     # roundings, so the two routes may differ by a few units in the last place
-    assert abs(check_d_s_from_twists(d, TOL).max_residual - want) <= 4 * np.finfo(float).eps
+    assert abs(check_d_s_from_twists(ext_to_8, TOL).max_residual - want) <= 4 * np.finfo(float).eps
 
 
 def test_s_from_twists_broadcasts(e2):
@@ -543,11 +615,11 @@ def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
 
 
 def test_associativity_checks_fail_on_corrupt_entry():
-    d, ring = Sl2Data(10), TypeDRing(2)
-    d.n[1, 1, 2] += 1  # V1 V1 gains a second V2
-    ring.l[1, 1, 2] += 1  # X1 X1 gains a second X2
-    for check, t in [(check_d_n_associative(d, TOL), d.n),
-                     (check_ring_associative(ring, TOL), ring.l)]:
+    ext = ExtData.build(2)
+    ext.d.n[1, 1, 2] += 1  # V1 V1 gains a second V2
+    ext.ring.l[1, 1, 2] += 1  # X1 X1 gains a second X2
+    for check, t in [(check_d_n_associative(ext, TOL), ext.d.n),
+                     (check_ring_associative(ext, TOL), ext.ring.l)]:
         assert check.passed is False
         assert check.max_residual == np.max(np.abs(_einsum_associativity(t))) > 0
 
