@@ -162,25 +162,41 @@ def _integer_check(name: str, params: str, tol: float, *residuals) -> Check:
     return _check(name, params, min(tol, 0.5), *residuals)
 
 
-def _associativity(t: np.ndarray) -> np.ndarray:
-    """(x y) z - x (y z) for a fusion tensor t[x, y, z], as a dense rank-4
-    float64 array, from two BLAS matrix products.
+def _associativity(t: np.ndarray, gens) -> list[np.ndarray]:
+    """Light's associativity test: for each generator g, (x g) y - x (g y)
+    for all x, y, as a float64 array [x, y, z] of shape (a, a, a).
 
-    With rows = t viewed as an (a*a, a) matrix, the left side is
-    rows @ t[r, (k, l)], and the right side sum_r t[j, k, r] t[i, r, l] is
-    rows @ t[r, (i, l)], moved from [j, k, i, l] into [i, j, k, l] order.
-    The entries are integers, so every partial sum is an integer of
-    size at most a * max|t|^2; below 2^53 the products are exact and equal
-    the integer contraction entry for entry.  Larger tables raise ValueError.
+    The g that pass form a subspace closed under products: for g and h,
+    (x gh) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y).  So once
+    `_x1_ladder` shows that the generators reach every class, zero residuals
+    mean the whole table is associative; commutativity is not used.
+
+    Each side is one 2-D matrix product: (x g) y is t[:, g] @ t[r, (y, z)],
+    and x (g y) = sum_r t[g, y, r] t[x, r, z] is t[g] @ t[r, (x, z)], moved
+    from [y, x, z] into [x, y, z] order.  Both tables are int8, so every
+    partial sum is an integer below a * 128^2 and the products are exact.
     """
     a = len(t)
-    if a * int(np.max(np.abs(t))) ** 2 >= 2**53:
-        raise ValueError(f"fusion tensor too large for exact float64 products (size {a})")
     f = t.astype(np.float64)
-    rows = f.reshape(a * a, a)
-    lhs = (rows @ f.reshape(a, a * a)).reshape(a, a, a, a)
-    lhs -= (rows @ f.transpose(1, 0, 2).reshape(a, a * a)).reshape(a, a, a, a).transpose(2, 0, 1, 3)
-    return lhs
+    right = f.reshape(a, a * a)
+    middle = f.transpose(1, 0, 2).reshape(a, a * a)
+    residuals = []
+    for g in gens:
+        r = (f[:, g, :] @ right).reshape(a, a, a)
+        r -= (f[g] @ middle).reshape(a, a, a).transpose(1, 0, 2)
+        residuals.append(r)
+    return residuals
+
+
+def _x1_ladder(t: np.ndarray, descent: np.ndarray) -> np.ndarray:
+    """X1 X_{i-1} minus the classes that descend from i and from i-2, for
+    i = 2 up to the top parent: zero iff X_i = X1 X_{i-1} - X_{i-2} (the
+    paper's recursion), and on the quotient X+ + X- = X1 X_{2m-1} - X_{2m-2}.
+    So X0, X1 (and X+ on the quotient) generate the table: the span
+    certificate of `_associativity`."""
+    i = np.arange(2, descent.max() + 1)
+    return (t[1, i - 1].astype(np.int64) - (descent == i[:, None])
+            - (descent == i[:, None] - 2))
 
 
 # -- identity checks on the sl2 side ----------------------------------------
@@ -229,14 +245,21 @@ def check_d_folds(ext: ExtData, tol: float) -> list[Check]:
 
 
 def check_d_n_associative(ext: ExtData, tol: float) -> Check:
-    return _integer_check("d-n-associative", f"kappa={ext.kappa}", tol, _associativity(ext.d.n))
+    """Light's test on the generators X0 and X1, with the span certificate."""
+    n = ext.d.n
+    return _integer_check("d-n-associative", f"kappa={ext.kappa}", tol,
+                          *_associativity(n, (0, 1)), _x1_ladder(n, np.arange(len(n))))
 
 
 # -- identity checks on the ring side ----------------------------------------
 
 
 def check_ring_associative(ext: ExtData, tol: float) -> Check:
-    return _integer_check("ring-associative", f"m={ext.m}", tol, _associativity(ext.ring.l))
+    """Light's test on the generators X0, X1 and X+, with the span certificate."""
+    ring = ext.ring
+    return _integer_check("ring-associative", f"m={ext.m}", tol,
+                          *_associativity(ring.l, (0, 1, ring.plus)),
+                          _x1_ladder(ring.l, ring.descent))
 
 
 def check_ring_dimension_hom(ext: ExtData, tol: float) -> Check:
@@ -439,8 +462,7 @@ def check_folded_sum(ext: ExtData, tol: float) -> Check:
 def run_battery(ext: ExtData, tol: float = EPS) -> VerificationReport:
     """Run every identity check on a built `ExtData`, sorted by check name
     then parameters so repeated runs compare byte for byte.  Raises
-    ValueError for a tolerance that is not a finite positive number and
-    MemoryError where `d-n-associative` outgrows memory (m >= 32); a table
+    ValueError for a tolerance that is not a finite positive number; a table
     corrupted after the build is a FAIL in the report, never a raise."""
     require_tolerance(tol)
     # built per call, so each check is read off the module when the battery

@@ -114,8 +114,7 @@ class TypeDRing:
         self.shares = np.bincount(self.descent)[self.descent]
         self.dims = np.array([quantum_integer(k + 1, self.kappa) for k in self.descent.tolist()])
         self.dims /= self.shares
-        self.action = np.arange(self.size)
-        self.action[self.plus], self.action[self.minus] = self.minus, self.plus
+        self.action = self._swap_split_pair()
 
         self.l = self._derive_tensor()
         self._validate()
@@ -178,13 +177,19 @@ class TypeDRing:
         eye = np.eye(self.size, dtype=np.int64)
         return self.l[0] - eye, self.l[:, :, 0] - eye
 
+    def _swap_split_pair(self) -> np.ndarray:
+        """The permutation of the classes that exchanges X+ and X-."""
+        return np.r_[: self.plus, self.minus, self.plus]
+
     def flip_residuals(self) -> list[np.ndarray]:
         """The flipped table minus the table on three slabs, one per axis,
         holding the classes the flip moves: an entry with no moved class maps
-        to itself, so the slabs hold every nonzero entry of the difference."""
+        to itself, so the slabs hold every nonzero entry of the difference.
+        Last, the action minus the swap of X+ and X-, which pins the classes
+        the flip moves: a flip that moves none leaves the slabs empty."""
         l, a, moved = self.l, self.action, np.flatnonzero(self.action != np.arange(self.size))
         return [l.take(a[moved], axis).take(a, (axis + 1) % 3).take(a, (axis + 2) % 3)
-                - l.take(moved, axis) for axis in range(3)]
+                - l.take(moved, axis) for axis in range(3)] + [a - self._swap_split_pair()]
 
     def index(self, x) -> int:
         """Position in `labels` of a class in any spelling `canonical_label`

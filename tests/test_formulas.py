@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from equifuse.arith import integer_residual
 from equifuse import extended, formulas
 from equifuse.errors import UnsupportedCaseError
 from equifuse.extended import CHANGE_OF_BASIS, ExtData
+from equifuse.ring import TypeDRing
+from equifuse.sl2 import Sl2Data
 from equifuse.formulas import (
     Check,
     _associativity,
     _check,
+    _x1_ladder,
     check_coefficient_folding,
     check_conv_eigenbasis,
     check_d_n_associative,
@@ -219,7 +223,7 @@ def test_folded_sum_rejects_odd_first_index(e2):
 # -- the full battery --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16])
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 16, 32])
 def test_verify_all_passes(m):
     report = verify_all(m, tol=TOL)
     assert report.all_passed, report.failures()
@@ -387,6 +391,10 @@ def _swap_x2_x4_flip(ext, monkeypatch):
     ext.ring.action[[2, 4]] = ext.ring.action[[4, 2]]
 
 
+def _fix_every_class(ext, monkeypatch):
+    ext.ring.action[:] = np.arange(ext.ring.size)
+
+
 def _scale_gauss_route(ext, monkeypatch):
     reciprocal = extended.gauss_sum_reciprocal
     monkeypatch.setattr(extended, "gauss_sum_reciprocal", lambda *a: 1.01 * reciprocal(*a))
@@ -435,6 +443,7 @@ BATTERY_CORRUPTIONS = [
      {"c-sea-unitary", "c-even-formula", "c-odd-formula", "c-diagonalization",
       "c-folded-sum"}),
     ("flip-swaps-x2-x4", _swap_x2_x4_flip, {"c-conv-eigenbasis", "ring-flip-invariant"}),
+    ("flip-moves-no-class", _fix_every_class, {"ring-flip-invariant"}),
     ("gauss-route", _scale_gauss_route, {"exc-gauss-route"}),
 ]
 
@@ -454,11 +463,12 @@ def test_battery_corruptions_trip_every_check():
 
 
 def test_battery_reports_a_flip_that_moves_no_class():
-    # the flip residuals are then empty slabs, which read as 0
+    # the table slabs are then empty and read as 0; the action part FAILs
     ext = ExtData.build(4)
-    ext.ring.action[:] = np.arange(ext.ring.size)
+    _fix_every_class(ext, None)
     report = run_battery(ext)
     assert len(report.checks) == len(verify_all(4).checks)
+    assert [(c.name, c.max_residual) for c in report.failures()] == [("ring-flip-invariant", 1.0)]
 
 
 def test_battery_calls_the_module_attributes_when_it_runs(monkeypatch):
@@ -542,18 +552,22 @@ def test_block_check_fails_on_each_corrupted_row_block(monkeypatch, slot):
     assert c.passed is False and c.max_residual >= 1
 
 
+def _passed_and_peak(check, ext) -> tuple[bool, int]:
+    """Whether the check passes, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return check(ext, TOL).passed, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_block_checks_stay_small_at_m32():
     """The folded-sum and oracle checks sum whole blocks through one matrix
     product each; at m=32 each peaks near 2.3 MB (folded sum) and 0.7 MB
     (oracle checks), where a rank-4 summand array would take 146 MB."""
     ext = ExtData.build(32)
     for check in (check_folded_sum, check_ee_verlinde, check_ext_even, check_ext_odd):
-        tracemalloc.start()
-        try:
-            passed = check(ext, TOL).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        passed, peak = _passed_and_peak(check, ext)
         assert passed and peak < 4e6, f"{check.__name__} peaked at {peak} bytes"
 
 
@@ -595,7 +609,7 @@ def test_diagonalization_images_match_per_image_products(ext_to_8):
         assert np.array_equal(lhs, mix @ cols)
 
 
-# -- associativity: two float64 matrix products against the int64 einsum ---------
+# -- associativity: Light's test and the span certificate against the int64 einsum --
 
 
 def _einsum_associativity(t: np.ndarray) -> np.ndarray:
@@ -603,15 +617,95 @@ def _einsum_associativity(t: np.ndarray) -> np.ndarray:
     return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
 
 
-@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+def _associativity_case(ext, table):
+    """The table, its generators, the descent its span certificate reads, and its check."""
+    if table == "d.n":
+        return ext.d.n, (0, 1), np.arange(ext.d.delta + 1), check_d_n_associative
+    return ext.ring.l, (0, 1, ext.ring.plus), ext.ring.descent, check_ring_associative
+
+
 @pytest.mark.parametrize("table", ["d.n", "ring.l"])
-def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
-    t = (ext_to_8.d.n if table == "d.n" else ext_to_8.ring.l).copy()
-    if corrupt:  # also breaks commutativity, so a swapped axis shows
-        t[1, 2, 3] += 1
-    got, want = _associativity(t), _einsum_associativity(t)
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got, want)
+def test_generator_residual_is_zero_iff_einsum_is_zero(ext_to_8, table):
+    """Seeded +-1 single-entry mutations, and the table as built: the
+    generator residuals vanish exactly when the dense oracle does, and the
+    check passes exactly then."""
+    ext = ext_to_8
+    t, gens, descent, check = _associativity_case(ext, table)
+    rng = np.random.default_rng([ext.m, len(t)])
+    mutations = [(None, 0)] + [(tuple(rng.integers(len(t), size=3)), int(rng.choice([-1, 1])))
+                               for _ in range(12)]
+    for entry, delta in mutations:
+        original = t.copy()
+        if entry is not None:
+            t[entry] += delta
+        try:
+            associative = not _einsum_associativity(t).any()
+            generators_pass = not any(r.any() for r in _associativity(t, gens))
+            spans = not _x1_ladder(t, descent).any()
+            passed = check(ext, TOL).passed
+        finally:
+            t[...] = original
+        assert generators_pass == associative, (entry, delta)
+        assert passed == (associative and spans), (entry, delta)
+
+
+def test_span_certificate_fails_on_a_table_whose_x1_row_does_not_span():
+    # X1 X3 = X2 + X4 loses X4, so the recursion no longer reaches X4
+    ext = ExtData.build(2)
+    ext.d.n[1, 3, 4] = 0
+    assert _x1_ladder(ext.d.n, np.arange(ext.d.delta + 1)).any()
+    assert check_d_n_associative(ext, TOL).passed is False
+
+
+def _unreached_pair() -> np.ndarray:
+    """X0 a unit, X2 X3 = X2 and X3 X2 = X3, every other product 0: not
+    associative, (X2 X3) X2 = 0 but X2 (X3 X2) = X2, yet X0, X1 and X4 pass."""
+    t = np.zeros((6, 6, 6), dtype=np.int8)
+    t[0] = t[:, 0] = np.eye(6, dtype=np.int8)
+    t[2, 3, 2] = t[3, 2, 3] = 1
+    return t
+
+
+def _x0_not_a_unit() -> np.ndarray:
+    """sl2 at kappa=4 with X0 X0 = X2 X2 = 0 and X0 X2 = X2 X0 = X0 + X2."""
+    n = Sl2Data(4).n.copy()
+    n[0, 0] = n[2, 2] = 0
+    n[0, 2] = n[2, 0] = [1, 0, 1]
+    return n
+
+
+def _x_plus_self_dual_lost() -> np.ndarray:
+    """The m=2 quotient with X0 moved from X+ X+ and X- X- to X+ X- and X- X+."""
+    l = TypeDRing(2).l.copy()
+    l[4, 4, 0] = l[5, 5, 0] = 0
+    l[4, 5, 0] = l[5, 4, 0] = 1
+    return l
+
+
+# Non-associative tables that every part of an associativity check but one
+# passes: (table, check, generators, descent of the span certificate, the
+# part that FAILs).  X+ is class 4 in both ring-shaped tables.
+NEEDED_PARTS = [
+    ("sl2-certificate", _unreached_pair, check_d_n_associative, (0, 1), range(6), None),
+    ("ring-certificate", _unreached_pair, check_ring_associative, (0, 1, 4), [0, 1, 2, 3, 4, 4],
+     None),
+    ("sl2-generator-x0", _x0_not_a_unit, check_d_n_associative, (0, 1), range(3), 0),
+    ("ring-generator-x+", _x_plus_self_dual_lost, check_ring_associative, (0, 1, 4),
+     [0, 1, 2, 3, 4, 4], 4),
+]
+
+
+@pytest.mark.parametrize("table, check, gens, descent, needed", [row[1:] for row in NEEDED_PARTS],
+                         ids=[row[0] for row in NEEDED_PARTS])
+def test_each_part_of_the_associativity_check_is_needed(table, check, gens, descent, needed):
+    t, descent = table(), np.array(descent)
+    table_only = SimpleNamespace(d=SimpleNamespace(n=t), kappa=0, m=0,
+                                 ring=SimpleNamespace(l=t, plus=4, descent=descent))
+    assert _einsum_associativity(t).any()
+    assert check(table_only, TOL).passed is False
+    failing = [g for g, r in zip(gens, _associativity(t, gens)) if r.any()]
+    assert failing == ([] if needed is None else [needed])
+    assert _x1_ladder(t, descent).any() == (needed is None)
 
 
 def test_associativity_checks_fail_on_corrupt_entry():
@@ -624,8 +718,11 @@ def test_associativity_checks_fail_on_corrupt_entry():
         assert check.max_residual == np.max(np.abs(_einsum_associativity(t))) > 0
 
 
-def test_associativity_refuses_inexact_sizes():
-    # 2 * (2^26)^2 = 2^53: partial sums could leave the exact float64 range
-    with pytest.raises(ValueError, match="exact"):
-        _associativity(np.full((2, 2, 2), 2**26, dtype=np.int64))
-    assert not _associativity(np.full((2, 2, 2), 2**26 - 1, dtype=np.int64)).any()
+def test_associativity_checks_stay_small_at_m32():
+    """Light's test keeps a few (a, a, a) arrays, 82 MB at m=32 for sl2,
+    where the dense (a, a, a, a) residual would need 2.06 GiB."""
+    ext = ExtData.build(32)
+    ext.d.n  # built on first read; its 2 MB are not the check's
+    for check in (check_d_n_associative, check_ring_associative):
+        passed, peak = _passed_and_peak(check, ext)
+        assert passed and peak < 128 * 2**20, f"{check.__name__} peaked at {peak} bytes"
