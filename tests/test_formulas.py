@@ -624,6 +624,29 @@ def _associativity_case(ext, table):
     return ext.ring.l, (0, 1, ext.ring.plus), ext.ring.descent, check_ring_associative
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+@pytest.mark.parametrize("table", ["d.n", "ring.l"])
+def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
+    """Each generator residual is the einsum's (x g) y - x (g y) slice at g,
+    entry for entry, and the check FAILs exactly when the einsum is nonzero."""
+    ext = ext_to_8
+    t, gens, _, check = _associativity_case(ext, table)
+    original = t.copy()
+    if corrupt:  # also breaks commutativity, so a swapped axis shows
+        t[1, 2, 3] += 1
+    try:
+        got, want = _associativity(t, gens), _einsum_associativity(t)
+        passed = check(ext, TOL).passed
+    finally:
+        t[...] = original
+    assert len(got) == len(gens)
+    for g, r in zip(gens, got):
+        assert r.dtype == np.float64 and r.shape == want[:, g].shape
+        assert np.array_equal(r, want[:, g]), g
+    assert corrupt == bool(want.any()) == any(r.any() for r in got)
+    assert passed is not corrupt
+
+
 @pytest.mark.parametrize("table", ["d.n", "ring.l"])
 def test_generator_residual_is_zero_iff_einsum_is_zero(ext_to_8, table):
     """Seeded +-1 single-entry mutations, and the table as built: the
