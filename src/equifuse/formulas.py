@@ -164,28 +164,85 @@ def _integer_check(name: str, params: str, tol: float, *residuals) -> Check:
 
 def _associativity(t: np.ndarray, gens) -> list[np.ndarray]:
     """Light's associativity test: for each generator g, (x g) y - x (g y)
-    for all x, y, as a float64 array [x, y, z] of shape (a, a, a).
+    for all x, y, as an exact array [x, y, z] of shape (a, a, a).
 
     The g that pass form a subspace closed under products: for g and h,
     (x gh) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y).  So once
     `_x1_ladder` shows that the generators reach every class, zero residuals
     mean the whole table is associative; commutativity is not used.
 
-    Each side is one 2-D matrix product: (x g) y is t[:, g] @ t[r, (y, z)],
-    and x (g y) = sum_r t[g, y, r] t[x, r, z] is t[g] @ t[r, (x, z)], moved
-    from [y, x, z] into [x, y, z] order.  Both tables are int8, so every
-    partial sum is an integer below a * 128^2 and the products are exact.
+    (x g) y = sum_r t[x, g, r] t[r] applies the left rows t[:, g] along axis
+    0, and x (g y) = sum_r t[g, y, r] t[:, r] the right rows t[g] along axis
+    1.  Each generator takes one of two paths, chosen from its rows alone:
+    `_slab_residual` when 8 * (nonzero diagonals of t[:, g] plus those of
+    t[g]) < a, as for the banded X0 and X1 rows, and `_gemm_residual`
+    otherwise, as for the dense X+ row or a corrupted row that grows dense.
+    The float copy the GEMM path reads is built once, and only if some
+    generator takes that path.  Both paths are exact on the int8 tables: a
+    slab entry sums fewer than a/8 products of size at most 128^2, so it
+    stays below a * 2^11, within int32 for a < 2^20; a GEMM partial sum is
+    an integer below a * 128^2, far below 2^53.
     """
-    a = len(t)
-    f = t.astype(np.float64)
-    right = f.reshape(a, a * a)
-    middle = f.transpose(1, 0, 2).reshape(a, a * a)
+    operands = None
     residuals = []
     for g in gens:
-        r = (f[:, g, :] @ right).reshape(a, a, a)
-        r -= (f[g] @ middle).reshape(a, a, a).transpose(1, 0, 2)
-        residuals.append(r)
+        left, right = _diagonals(t[:, g]), _diagonals(t[g])
+        if 8 * (len(left) + len(right)) < len(t):
+            residuals.append(_slab_residual(t, g, left, right))
+        else:
+            if operands is None:
+                operands = _gemm_operands(t)
+            residuals.append(_gemm_residual(operands, g))
     return residuals
+
+
+def _diagonals(rows: np.ndarray) -> np.ndarray:
+    """Offsets d of the diagonals of a square matrix that hold a nonzero
+    entry rows[i, i + d], in increasing order."""
+    a = len(rows)
+    xs, rs = np.nonzero(rows)
+    # a mask, not np.unique, which imports numpy.ma on first use
+    nonzero = np.zeros(2 * a - 1, dtype=bool)
+    nonzero[rs - xs + a - 1] = True
+    return np.flatnonzero(nonzero) - (a - 1)
+
+
+def _slab_residual(t: np.ndarray, g: int, left, right) -> np.ndarray:
+    """Light's residual at g as an int32 array, one slab update per diagonal
+    d of the left rows t[:, g] (offsets `left`) and of the right rows t[g]
+    (offsets `right`).  Each update spans whole rows of axis 0 or axis 1, so
+    the contiguous last axis is never cut.  Exact while the diagonals are as
+    few as `_associativity` requires."""
+    a = len(t)
+    r = np.zeros((a, a, a), dtype=np.int32)
+    rows = t[:, g]
+    for d in left:
+        lo, hi = max(0, -d), min(a, a - d)
+        r[lo:hi] += rows.diagonal(d)[:, None, None].astype(np.int32) * t[lo + d : hi + d]
+    rows = t[g]
+    for d in right:
+        lo, hi = max(0, -d), min(a, a - d)
+        r[:, lo:hi] -= rows.diagonal(d)[None, :, None].astype(np.int32) * t[:, lo + d : hi + d]
+    return r
+
+
+def _gemm_operands(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 table, and its moved copy t[r, (x, z)] as an (a, a*a)
+    matrix: the operands `_gemm_residual` reads for every generator."""
+    f = t.astype(np.float64)
+    return f, f.transpose(1, 0, 2).reshape(len(t), -1)
+
+
+def _gemm_residual(operands, g: int) -> np.ndarray:
+    """Light's residual at g as a float64 array, from two 2-D matrix
+    products on `_gemm_operands(t)`: (x g) y is t[:, g] @ t[r, (y, z)], and
+    x (g y) is t[g] @ t[r, (x, z)], moved from [y, x, z] into [x, y, z]
+    order."""
+    f, moved = operands
+    a = len(f)
+    r = (f[:, g, :] @ f.reshape(a, a * a)).reshape(a, a, a)
+    r -= (f[g] @ moved).reshape(a, a, a).transpose(1, 0, 2)
+    return r
 
 
 def _x1_ladder(t: np.ndarray, descent: np.ndarray) -> np.ndarray:
