@@ -4,7 +4,7 @@ Simple objects are indexed 0..delta with delta = kappa - 2; all of them are
 self-dual.  The s-matrix is stored in its closed sine form.  The alternative
 route through twists and fusion multiplicities (`s_from_twists`) is kept as
 an independent consistency check, not as a constructor.  The Verlinde sum
-over s-matrix row blocks is written here once, for every layer.
+over row blocks and the fusion rule (`Sl2Data.fuse_rows`) are written once.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class Sl2Data:
         Quantum dimensions d_i = [i+1].
     n : (delta+1,)^3 int8 array
         Fusion multiplicities, all 0 or 1: n[i, j] marks k = |i-j|, |i-j|+2,
-        ..., min(i+j, 2*delta - i - j).  Built on first read, one i-slab at a
-        time, and kept; widen it, e.g. with `astype(np.int64)`, before
-        summing many products of its entries.
+        ..., min(i+j, 2*delta - i - j), which is `fuse_rows` on the comb rows.
+        Built on first read, one i-slab at a time, and kept; widen it, e.g.
+        with `astype(np.int64)`, before summing many products of its entries.
     p_plus, p_minus : complex
         Sums of theta_i^(+-1) * d_i^2 over all simples.
     big_d : float
@@ -65,11 +65,11 @@ class Sl2Data:
         self.twists = np.array([twist(i, kappa) for i in range(self.delta + 1)])
         self.dims = np.array([quantum_integer(i + 1, kappa) for i in range(self.delta + 1)])
         idx = np.arange(self.delta + 1)
-        self._theta_dims = self.twists * self.dims  # the weights s_from_twists sums
         self.s = np.sqrt(2.0 / kappa) * np.sin(np.outer(idx + 1, idx + 1) * np.pi / kappa)
 
         steps = idx - np.arange(self.delta + 3)[:, None]  # rows c = 0..delta+2 of comb
         self._comb = ((steps >= 0) & (steps % 2 == 0)).astype(np.int8)  # comb[c] marks c, c+2, ...
+        self._twist_sums = self._comb @ (self.twists * self.dims)  # the rows s_from_twists fuses
 
         self.p_plus = complex(np.sum(self.twists * self.dims**2))
         self.p_minus = complex(np.sum(self.dims**2 / self.twists))
@@ -78,11 +78,11 @@ class Sl2Data:
             raise ValueError(f"p+ p- should be real, got {prod!r}")
         self.big_d = math.sqrt(prod.real)
 
-    def _fusion_rows(self, i, j) -> np.ndarray:
-        """n[i, j] as comb[|i-j|] - comb[min(i+j, 2*delta - i - j) + 2]; i and
-        j are ints or index arrays that broadcast against each other.  The
-        builtin `abs` serves both, so a point call reads two rows of comb."""
-        return self._comb[abs(i - j)] - self._comb[self.delta + 2 - abs(self.delta - i - j)]
+    def fuse_rows(self, rows, i, j) -> np.ndarray:
+        """The sl2 fusion rule on rows c = 0..delta+2: rows[|i-j|] minus
+        rows[min(i+j, 2*delta - i - j) + 2], so n[i, j] on comb and n[i, j] @ w
+        on comb @ w; i and j are ints or index arrays that broadcast."""
+        return rows[abs(i - j)] - rows[self.delta + 2 - abs(self.delta - i - j)]
 
     @functools.cached_property
     def n(self) -> np.ndarray:
@@ -90,7 +90,7 @@ class Sl2Data:
         idx = np.arange(self.delta + 1)
         n = np.empty((self.delta + 1,) * 3, dtype=np.int8)
         for i in range(self.delta + 1):
-            n[i] = self._fusion_rows(i, idx)
+            n[i] = self.fuse_rows(self._comb, i, idx)
         return n
 
     def _check_index(self, *indices) -> None:
@@ -108,10 +108,6 @@ class Sl2Data:
         self._check_index(i, j, k)
         return float(np.sum(verlinde_summands((self.s, self.s, self.s, self.s[0]), i, j, k)))
 
-    def verlinde_tensor(self) -> np.ndarray:
-        """All Verlinde coefficients at once, shape (delta+1,)^3."""
-        return verlinde_block((self.s, self.s, self.s, self.s[0]))
-
     def s_from_twists(self, i, j):
         """s[i, j] recomputed from ribbon data:
         theta_i^-1 theta_j^-1 sum_k n[i*, j, k] theta_k d_k, divided by big_d.
@@ -120,6 +116,6 @@ class Sl2Data:
         the result is then a complex array of their broadcast shape."""
         self._check_index(i, j)
         # every simple is self-dual, so n[i*, j] is n[i, j]
-        total = np.sum(self._fusion_rows(i, j) * self._theta_dims, axis=-1)
+        total = self.fuse_rows(self._twist_sums, i, j)
         value = total / (self.twists[i] * self.twists[j]) / self.big_d
         return value if isinstance(value, np.ndarray) else complex(value)

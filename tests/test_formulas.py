@@ -378,6 +378,32 @@ def test_integer_check_fails_at_any_tolerance(name, table, entry, check, params,
     assert (c.name, c.params, c.max_residual, c.passed) == (name, params, residual, False)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_d_verlinde_fails_on_each_corrupted_s_entry(m):
+    # the check reads d.s only through s / s[0], the rows it sums against; a
+    # corruption of any one entry, the unit row included, must still reach it
+    ext = ExtData.build(m)
+    s = ext.d.s.copy()
+    for entry in np.ndindex(s.shape):
+        ext.d.s[entry] += 1e-6
+        passed = check_d_verlinde(ext, TOL).passed
+        ext.d.s[...] = s
+        assert not passed, entry
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_d_verlinde_fails_on_corrupted_n_entries(m):
+    # the residual subtracts the stored table, so a +1 on an entry of 0 or 1
+    # shows as a residual of 1
+    ext = ExtData.build(m)
+    last = ext.d.delta
+    for entry in [(0, 0, 0), (0, 0, 1), (1, 1, 2), (2, 3, 1), (last, last, 0), (0, last, last)]:
+        ext.d.n[entry] += 1
+        c = check_d_verlinde(ext, TOL)
+        ext.d.n[entry] -= 1
+        assert not c.passed and abs(c.max_residual - 1) < 1e-12, (entry, c)
+
+
 def _add(table, delta, *entries):
     """Add delta to entries of one table of the built object, named by its
     path from it, e.g. "d.s" or "ring.l"."""
@@ -502,8 +528,11 @@ def test_checks_expose_even_and_odd_formulas(ext):
 #
 # The loops below are the reference the block checks replaced.  A block check
 # sums each coefficient in one matrix product, in another order than the point
-# evaluator's np.sum, so the residuals agree to within 2 ulps (the worst gap
-# measured at m = 2..8 is 2.0 eps).
+# evaluator's np.sum, and that order depends on the OpenBLAS kernel.  Measured
+# at m = 2..12 under six kernels (default, SkylakeX, Haswell, Zen, Sandybridge,
+# Prescott), the worst gap is 3.0 eps for the folded sum and 2.0 eps for the
+# oracle checks.  Both are compared within 4 eps: 2 ulps of the largest
+# multiplicity, 2, whose ulp is 2 eps.
 
 
 def _scalar_oracle_residual(value: float, oracle: int) -> float:
@@ -535,7 +564,7 @@ def test_block_check_equals_point_loop(ext_to_8, check, point, blocks):
         for y in ys
         for z in zs
     )
-    assert abs(check(ext, TOL).max_residual - want) <= 2 * np.finfo(float).eps
+    assert abs(check(ext, TOL).max_residual - want) <= 4 * np.finfo(float).eps
 
 
 def test_folded_sum_check_equals_point_loop(ext_to_8):
@@ -547,7 +576,7 @@ def test_folded_sum_check_equals_point_loop(ext_to_8):
         for k in span
         for lhs, rhs in [folded_sum_sides(ext, i, j, k)]
     )
-    assert abs(check_folded_sum(ext, TOL).max_residual - want) <= 2 * np.finfo(float).eps
+    assert abs(check_folded_sum(ext, TOL).max_residual - want) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("slot", range(4), ids=["x", "y", "z", "unit"])
@@ -599,6 +628,14 @@ def test_s_from_twists_broadcasts(e2):
     assert block[2, 5] == d.s_from_twists(2, 5)
     with pytest.raises(ValueError):
         d.s_from_twists(idx + 1, 0)
+
+
+def test_s_via_twists_check_stays_small_at_m64():
+    """The twist route fuses delta+3 twist sums, so the check holds (a, a)
+    arrays only: about 3 MB at m=64, where a rank-3 array of n rows times the
+    weights would take about 290 MB."""
+    passed, peak = _passed_and_peak(check_d_s_from_twists, ExtData.build(64))
+    assert passed and peak < 16e6, f"check_d_s_from_twists peaked at {peak} bytes"
 
 
 def test_diagonalization_images_match_per_image_products(ext_to_8):

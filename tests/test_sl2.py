@@ -97,7 +97,7 @@ def test_verlinde_block_equals_summand_loop():
 @pytest.mark.parametrize("kappa", [10, 18, 26])
 def test_verlinde_matches_fusion_tensor(kappa):
     d = Sl2Data(kappa)
-    assert np.max(np.abs(d.verlinde_tensor() - d.n)) < TOL
+    assert np.max(np.abs(verlinde_block((d.s, d.s, d.s, d.s[0])) - d.n)) < TOL
 
 
 def test_verlinde_examples(d10):
@@ -175,14 +175,16 @@ def test_n_tensor_is_built_on_first_read_and_kept():
 
 
 def test_s_from_twists_equals_formula_on_n_at_m64():
-    d = Sl2Data(258)
+    # the fused twist sums against the ribbon formula read on the full fusion
+    # table: they sum in another order, and the gap measured at m = 2..64 is
+    # below 1 eps
+    d, eps = Sl2Data(258), np.finfo(float).eps
     rng = np.random.default_rng(64)
     for i, j in rng.integers(0, d.delta + 1, size=(200, 2)).tolist():
-        # the ribbon formula read on the full fusion table, bit for bit
         total = np.sum(d.n[i, j] * d.twists * d.dims, axis=-1)
         want = complex(total / (d.twists[i] * d.twists[j]) / d.big_d)
-        assert d.s_from_twists(i, j) == want, (i, j)
+        assert abs(d.s_from_twists(i, j) - want) <= 2 * eps, (i, j)
     i, j = rng.integers(0, d.delta + 1, size=(2, 16))
     total = np.sum(d.n[i[:, None], j] * d.twists * d.dims, axis=-1)
     want = total / (d.twists[i[:, None]] * d.twists[j]) / d.big_d
-    assert np.array_equal(d.s_from_twists(i[:, None], j), want)
+    assert np.max(np.abs(d.s_from_twists(i[:, None], j) - want)) <= 2 * eps
