@@ -12,8 +12,8 @@ the oracle: a coefficient counts as reproduced only if it both rounds to the
 oracle integer and sits within tolerance of it.
 
 Every check follows one rule, written once in `_check`: it reports the
-largest absolute residual over all its parts and passes iff that is below
-the tolerance.  A NaN anywhere makes the residual NaN, so the check FAILs.
+largest absolute residual over an iterable of parts and passes iff that is
+below the tolerance.  A NaN anywhere makes the residual NaN, so the check FAILs.
 Checks of integer data, or of values against an integer table, use
 `_integer_check`, which caps the tolerance at 1/2 so that no tolerance lets
 a wrong integer pass.
@@ -31,12 +31,10 @@ from .extended import (
     CHANGE_OF_BASIS,
     ExtData,
     ExtVector,
-    alam,
     exceptional_cross,
     exceptional_diag,
     exceptional_diag_via_gauss,
     exceptional_diag_via_twists,
-    lam,
     unitarity_residual,
 )
 from .ring import push_forward
@@ -138,28 +136,33 @@ def _block_pos(ext: ExtData, x, sector: int) -> int:
 # -- the residual rule and the bodies shared by twin checks -------------------
 
 
-def _check(name: str, params: str, tol: float, *residuals) -> Check:
-    """The one place residuals become a pass or a fail: the largest absolute
-    entry over all parts, reduced with `np.max` and `np.maximum` so that a
-    NaN propagates and FAILs.  A real part is reduced through its max and
-    min, which makes no full-size `np.abs` copy; the min is negated as a
-    Python float, so an int8 minimum cannot wrap, and the outer `abs` turns
-    an all-zero -0.0 into 0.0.  A part may be a Python scalar (the split-pair
-    routes, vector distances), hence the `np.asarray`, or empty (a flip that
-    moves no class), which the `initial=0` reductions read as 0."""
-    peaks = [np.abs(r).max(initial=0.0) if r.dtype.kind == "c"
-             else np.maximum(r.max(initial=0), -float(r.min(initial=0)))
-             for r in map(np.asarray, residuals)]
-    res = abs(float(np.max(peaks)))
+def _peak(part):
+    """Largest absolute entry of one residual part; a NaN propagates.  A real
+    part is reduced through its max and min, which makes no full-size `np.abs`
+    copy; the min is negated as a Python float, so an int8 minimum cannot
+    wrap.  A Python scalar part (a split-pair route, a vector distance) goes
+    through `np.asarray`; an empty one (a flip that moves no class) reads as 0
+    through the `initial=0` reductions."""
+    r = np.asarray(part)
+    return (np.abs(r).max(initial=0.0) if r.dtype.kind == "c"
+            else np.maximum(r.max(initial=0), -float(r.min(initial=0))))
+
+
+def _check(name: str, params: str, tol: float, parts) -> Check:
+    """The one place residuals become a pass or a fail: the largest `_peak`
+    over an iterable of parts, so a NaN FAILs; the outer `abs` turns -0.0 into
+    0.0.  `map` drops each part once reduced, where a loop variable would keep
+    it alive while the next is built, so a generator holds one part at a time."""
+    res = abs(float(np.max(list(map(_peak, parts)), initial=0.0)))
     return Check(name, params, res, bool(res < tol))
 
 
-def _integer_check(name: str, params: str, tol: float, *residuals) -> Check:
+def _integer_check(name: str, params: str, tol: float, parts) -> Check:
     """`_check` for an identity that holds in integers: it passes iff the
     residual is below min(tol, 1/2).  An integer residual then passes only
     when it is 0, and a value checked against an integer table passes only if
     it rounds to the table's integer and is within tol."""
-    return _check(name, params, min(tol, 0.5), *residuals)
+    return _check(name, params, min(tol, 0.5), parts)
 
 
 def _associativity(t: np.ndarray, gens) -> list[np.ndarray]:
@@ -210,19 +213,18 @@ def _diagonals(rows: np.ndarray) -> np.ndarray:
 def _slab_residual(t: np.ndarray, g: int, left, right) -> np.ndarray:
     """Light's residual at g as an int32 array, one slab update per diagonal
     d of the left rows t[:, g] (offsets `left`) and of the right rows t[g]
-    (offsets `right`).  Each update spans whole rows of axis 0 or axis 1, so
-    the contiguous last axis is never cut.  Exact while the diagonals are as
-    few as `_associativity` requires."""
+    (offsets `right`).  Each update spans whole rows of axis 0, or of axis 1
+    through views with axes 0 and 1 swapped, so the contiguous last axis is
+    never cut.  Exact while the diagonals are as few as `_associativity`
+    requires."""
     a = len(t)
     r = np.zeros((a, a, a), dtype=np.int32)
-    rows = t[:, g]
-    for d in left:
-        lo, hi = max(0, -d), min(a, a - d)
-        r[lo:hi] += rows.diagonal(d)[:, None, None].astype(np.int32) * t[lo + d : hi + d]
-    rows = t[g]
-    for d in right:
-        lo, hi = max(0, -d), min(a, a - d)
-        r[:, lo:hi] -= rows.diagonal(d)[None, :, None].astype(np.int32) * t[:, lo + d : hi + d]
+    for out, table, rows, offsets, sign in ((r, t, t[:, g], left, 1),
+                                            (r.swapaxes(0, 1), t.swapaxes(0, 1), t[g], right, -1)):
+        for d in offsets:
+            lo, hi = max(0, -d), min(a, a - d)
+            diagonal = sign * rows.diagonal(d).astype(np.int32)[:, None, None]
+            out[lo:hi] += diagonal * table[lo + d : hi + d]
     return r
 
 
@@ -260,20 +262,21 @@ def _x1_ladder(t: np.ndarray, descent: np.ndarray) -> np.ndarray:
 
 
 def check_d_unitary(ext: ExtData, tol: float) -> Check:
-    return _check("d-s-unitary", f"kappa={ext.kappa}", tol, unitarity_residual(ext.d.s))
+    return _check("d-s-unitary", f"kappa={ext.kappa}", tol, [unitarity_residual(ext.d.s)])
 
 
 def check_d_symmetric(ext: ExtData, tol: float) -> Check:
-    return _check("d-s-symmetric", f"kappa={ext.kappa}", tol, ext.d.s - ext.d.s.T)
+    return _check("d-s-symmetric", f"kappa={ext.kappa}", tol, [ext.d.s - ext.d.s.T])
 
 
 def check_d_verlinde(ext: ExtData, tol: float) -> Check:
-    """Verlinde sums against the stored table n, all triples.  s[i,p] s[j,p] is
+    """Verlinde sums against the stored table n, one i-slab at a time.  s[i,p] s[j,p] is
     `fuse_rows` on rows cos(c(p+1)pi/kappa)/kappa, as 2 sin u sin v = cos(u-v) - cos(u+v)."""
     d, idx = ext.d, np.arange(ext.d.delta + 1)
     cosines = np.cos(np.outer(np.arange(d.delta + 3), idx + 1) * np.pi / d.kappa) / d.kappa
+    sums = cosines @ (d.s / d.s[0]).T
     return _integer_check("d-verlinde-closed-form", f"kappa={ext.kappa}", tol,
-                          d.fuse_rows(cosines @ (d.s / d.s[0]).T, idx[:, None], idx) - d.n)
+                          (d.fuse_rows(sums, i, idx) - d.n[i] for i in idx.tolist()))
 
 
 def check_d_modular_relation(ext: ExtData, tol: float) -> Check:
@@ -282,14 +285,14 @@ def check_d_modular_relation(ext: ExtData, tol: float) -> Check:
     st = d.s.astype(complex) * d.twists[None, :]
     lhs = st @ st @ st
     rhs = (d.p_plus / d.big_d) * (d.s @ d.s)
-    return _check("d-modular-relation", f"kappa={d.kappa}", tol, lhs - rhs)
+    return _check("d-modular-relation", f"kappa={d.kappa}", tol, [lhs - rhs])
 
 
 def check_d_s_from_twists(ext: ExtData, tol: float) -> Check:
     """The ribbon route to every s-entry against the sine closed form."""
     idx = np.arange(ext.d.delta + 1)
     return _check("d-s-via-twists", f"kappa={ext.kappa}", tol,
-                  ext.d.s_from_twists(idx[:, None], idx) - ext.d.s)
+                  [ext.d.s_from_twists(idx[:, None], idx) - ext.d.s])
 
 
 def check_d_folds(ext: ExtData, tol: float) -> list[Check]:
@@ -298,9 +301,9 @@ def check_d_folds(ext: ExtData, tol: float) -> list[Check]:
     odd columns."""
     s, params = ext.d.s, f"kappa={ext.kappa}"
     return [
-        _check("d-fold-odd-columns", params, tol, s[:, 1::2] + s[::-1, 1::2]),
-        _check("d-fold-even-columns", params, tol, s[:, ::2] - s[::-1, ::2]),
-        _check("d-fold-middle-row", params, tol, s[ext.d.delta // 2, 1::2]),
+        _check("d-fold-odd-columns", params, tol, [s[:, 1::2] + s[::-1, 1::2]]),
+        _check("d-fold-even-columns", params, tol, [s[:, ::2] - s[::-1, ::2]]),
+        _check("d-fold-middle-row", params, tol, [s[ext.d.delta // 2, 1::2]]),
     ]
 
 
@@ -308,7 +311,7 @@ def check_d_n_associative(ext: ExtData, tol: float) -> Check:
     """Light's test on the generators X0 and X1, with the span certificate."""
     n = ext.d.n
     return _integer_check("d-n-associative", f"kappa={ext.kappa}", tol,
-                          *_associativity(n, (0, 1)), _x1_ladder(n, np.arange(len(n))))
+                          _associativity(n, (0, 1)) + [_x1_ladder(n, np.arange(len(n)))])
 
 
 # -- identity checks on the ring side ----------------------------------------
@@ -318,23 +321,23 @@ def check_ring_associative(ext: ExtData, tol: float) -> Check:
     """Light's test on the generators X0, X1 and X+, with the span certificate."""
     ring = ext.ring
     return _integer_check("ring-associative", f"m={ext.m}", tol,
-                          *_associativity(ring.l, (0, 1, ring.plus)),
-                          _x1_ladder(ring.l, ring.descent))
+                          _associativity(ring.l, (0, 1, ring.plus))
+                          + [_x1_ladder(ring.l, ring.descent)])
 
 
 def check_ring_dimension_hom(ext: ExtData, tol: float) -> Check:
     """d(x) d(y) = sum_z L[x,y,z] d(z) for all pairs."""
     ring = ext.ring
     return _check("ring-dimension-hom", f"m={ext.m}", tol,
-                  np.outer(ring.dims, ring.dims) - ring.l @ ring.dims)
+                  [np.outer(ring.dims, ring.dims) - ring.l @ ring.dims])
 
 
 def check_ring_flip_invariant(ext: ExtData, tol: float) -> Check:
-    return _integer_check("ring-flip-invariant", f"m={ext.m}", tol, *ext.ring.flip_residuals())
+    return _integer_check("ring-flip-invariant", f"m={ext.m}", tol, ext.ring.flip_residuals())
 
 
 def check_ring_unit_dual(ext: ExtData, tol: float) -> Check:
-    return _integer_check("ring-unit-dual", f"m={ext.m}", tol, *ext.ring.unit_dual_residuals())
+    return _integer_check("ring-unit-dual", f"m={ext.m}", tol, ext.ring.unit_dual_residuals())
 
 
 def check_coefficient_folding(ext: ExtData, tol: float) -> Check:
@@ -345,7 +348,7 @@ def check_coefficient_folding(ext: ExtData, tol: float) -> Check:
     merged, unbalanced = ext.ring.merge_with_balance()
     expected = push_forward(ext.d.n[: len(merged), : len(merged)], ext.ring.fold, axis=2)
     return _integer_check("ring-coefficient-folding", f"m={ext.m}", tol,
-                          merged - expected, unbalanced)
+                          [merged - expected, unbalanced])
 
 
 # -- identity checks on the extended side ------------------------------------
@@ -354,9 +357,9 @@ def check_coefficient_folding(ext: ExtData, tol: float) -> Check:
 def check_ext_unitary(ext: ExtData, tol: float) -> list[Check]:
     ee, params = ext.s_ee, f"m={ext.m}"
     return [
-        _check("c-see-unitary", params, tol, unitarity_residual(ee)),
-        _check("c-see-symmetric", params, tol, ee - ee.T),
-        _check("c-sea-unitary", params, tol, unitarity_residual(ext.s_ea)),
+        _check("c-see-unitary", params, tol, [unitarity_residual(ee)]),
+        _check("c-see-symmetric", params, tol, [ee - ee.T]),
+        _check("c-sea-unitary", params, tol, [unitarity_residual(ext.s_ea)]),
     ]
 
 
@@ -371,10 +374,10 @@ def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     except InconsistencyError:  # a non-real twist route FAILs through a NaN residual
         twist = np.nan
     return [
-        _check("exc-twist-route", params, tol, twist),
-        _check("exc-gauss-route", params, tol, exceptional_diag_via_gauss(m) - closed),
+        _check("exc-twist-route", params, tol, [twist]),
+        _check("exc-gauss-route", params, tol, [exceptional_diag_via_gauss(m) - closed]),
         _check("exc-pair-sum", params, tol,
-               closed + exceptional_cross(m) - ext.d.s[middle, middle]),
+               [closed + exceptional_cross(m) - ext.d.s[middle, middle]]),
     ]
 
 
@@ -385,7 +388,7 @@ def _oracle_check(name: str, ext: ExtData, tol: float, rows, classes) -> Check:
     than the table's is at least 1/2 away from it, so `_integer_check` FAILs
     a wrong coefficient under any tolerance."""
     return _integer_check(name, f"m={ext.m}", tol,
-                          verlinde_block(rows) - ext.ring.l[np.ix_(*classes)])
+                          [verlinde_block(rows) - ext.ring.l[np.ix_(*classes)]])
 
 
 def check_ee_verlinde(ext: ExtData, tol: float) -> Check:
@@ -444,30 +447,27 @@ def diagonalization_matrices(ext: ExtData, i: int) -> tuple[np.ndarray, np.ndarr
 
 
 def check_diagonalization(ext: ExtData, tol: float) -> list[Check]:
-    out = []
-    for i in ext.odd_classes:
-        lhs, rhs = diagonalization_matrices(ext, i)
-        out.append(_check("c-diagonalization", f"m={ext.m} i={i}", tol, lhs - rhs))
-    return out
+    return [_check("c-diagonalization", f"m={ext.m} i={i}", tol, [lhs - rhs])
+            for i in ext.odd_classes for lhs, rhs in [diagonalization_matrices(ext, i)]]
 
 
 def check_conv_eigenbasis(ext: ExtData, tol: float) -> Check:
     """Convolution relations in the eigenbasis: the two images of each pair
-    convolve to -+ 1/dim times themselves and annihilate each other.  The
-    arithmetic only halves and doubles, so the residual should be exactly
-    zero."""
-    parts = []
-    for cls in ext.fixed_classes:
-        inv_dim = 1.0 / ext.ring.dims[cls]
-        alpha = ext.change_basis(lam(cls))
-        beta = ext.change_basis(alam(cls))
-        parts += [
-            ext.convolve(alpha, alpha).distance(-inv_dim * alpha),
-            ext.convolve(beta, beta).distance(inv_dim * beta),
-            ext.convolve(alpha, beta).distance(ExtVector()),
-            ext.convolve(beta, alpha).distance(ExtVector()),
-        ]
-    return _check("c-conv-eigenbasis", f"m={ext.m}", tol, *parts)
+    convolve to -+ 1/dim times themselves and annihilate each other.
+    Distinct classes annihilate, so each relation is one convolution of the
+    images summed over all flip-fixed classes.  The arithmetic only halves
+    and doubles, so the residual should be exactly zero."""
+    fixed, inv_dims = set(ext.fixed_classes), 1.0 / ext.ring.dims
+    alpha, beta, alpha_d, beta_d = (
+        ext.change_basis(ExtVector({label: w[x] for label, x in ext.basis_positions.items()
+                                    if x in fixed and label.flipped == flipped}))
+        for w in (np.ones_like(inv_dims), inv_dims) for flipped in (False, True))
+    return _check("c-conv-eigenbasis", f"m={ext.m}", tol, [
+        ext.convolve(alpha, alpha).distance(-alpha_d),
+        ext.convolve(beta, beta).distance(beta_d),
+        ext.convolve(alpha, beta).distance(ExtVector()),
+        ext.convolve(beta, alpha).distance(ExtVector()),
+    ])
 
 
 def _folded_rows(ext: ExtData, parity: int):
@@ -513,7 +513,7 @@ def check_folded_sum(ext: ExtData, tol: float) -> Check:
         residual = -verlinde_block(sl2)
         residual[:, :, parity::2] += verlinde_block(quotient)  # quotient: k of j's parity only
         parts.append(residual)
-    return _check("c-folded-sum", f"m={ext.m}", tol, *parts)
+    return _check("c-folded-sum", f"m={ext.m}", tol, parts)
 
 
 # -- the full battery ---------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -287,24 +288,49 @@ def test_verify_all_reports_plain_types():
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_check_propagates_nan_from_any_part(position):
     parts = [np.array([0.0, 1e-12]), np.array(2e-12), np.array([[0.0], [3e-12]])]
-    assert _check("x", "", 1e-9, *parts) == Check("x", "", 3e-12, True)
+    assert _check("x", "", 1e-9, parts) == Check("x", "", 3e-12, True)
     parts[position] = np.full_like(parts[position], np.nan)
-    c = _check("x", "", 1e-9, *parts)
+    c = _check("x", "", 1e-9, parts)
     assert np.isnan(c.max_residual)
     assert c.passed is False
 
 
 def test_check_reports_largest_magnitude():
     # a real part is reduced through its max and min, a complex one through abs
-    assert _check("x", "", 1e-9, np.array([-3.0, 1.0])).max_residual == 3.0
-    assert _check("x", "", 1e-9, np.array([1.0]), np.array([-4j, 2.0])).max_residual == 4.0
+    assert _check("x", "", 1e-9, [np.array([-3.0, 1.0])]).max_residual == 3.0
+    assert _check("x", "", 1e-9, [np.array([1.0]), np.array([-4j, 2.0])]).max_residual == 4.0
 
 
 def test_check_reads_an_empty_part_as_zero():
     for empty in (np.zeros(0), np.zeros((0, 3), complex), np.zeros(0, np.int8)):
-        assert _check("x", "", 1e-9, empty) == Check("x", "", 0.0, True)
-    assert _check("x", "", 1e-9, np.zeros(0), np.array([-2e-12])).max_residual == 2e-12
-    assert _check("x", "", 1e-9, np.array([-128], np.int8)).max_residual == 128.0
+        assert _check("x", "", 1e-9, [empty]) == Check("x", "", 0.0, True)
+    assert _check("x", "", 1e-9, [np.zeros(0), np.array([-2e-12])]).max_residual == 2e-12
+    assert _check("x", "", 1e-9, [np.array([-128], np.int8)]).max_residual == 128.0
+
+
+def _tracked(refs: list, value: float) -> np.ndarray:
+    """A fresh part, with a weak reference to it appended to refs."""
+    part = np.full(3, value)
+    refs.append(weakref.ref(part))
+    return part
+
+
+def test_check_drops_each_part_once_reduced():
+    # a check may stream its parts from a generator; each must be freed
+    # before the next is built, or the parts' peak is two parts, not one
+    refs = []
+
+    def parts():
+        for k in range(4):
+            assert all(ref() is None for ref in refs), f"a part before part {k} is alive"
+            yield _tracked(refs, -k)
+
+    assert _check("x", "", 1e-9, parts()) == Check("x", "", 3.0, False)
+    assert len(refs) == 4
+
+
+def test_check_reads_no_parts_as_zero():
+    assert _check("x", "", 1e-9, iter(())) == Check("x", "", 0.0, True)
 
 
 def test_check_residuals_are_never_negative_zero():
@@ -432,6 +458,15 @@ def _fix_every_class(ext, monkeypatch):
     ext.ring.action[:] = np.arange(ext.ring.size)
 
 
+def _swap_split_pair_rows(ext, monkeypatch):
+    pair = [ext.ring.plus, ext.ring.minus]
+    ext.ring.l[np.ix_(pair, pair)] = ext.ring.l[np.ix_(pair, pair[::-1])]
+
+
+def _cross_for_diag(ext, monkeypatch):
+    monkeypatch.setattr(formulas, "exceptional_diag", extended.exceptional_cross)
+
+
 def _scale_gauss_route(ext, monkeypatch):
     reciprocal = extended.gauss_sum_reciprocal
     monkeypatch.setattr(extended, "gauss_sum_reciprocal", lambda *a: 1.01 * reciprocal(*a))
@@ -482,6 +517,14 @@ BATTERY_CORRUPTIONS = [
     ("flip-swaps-x2-x4", _swap_x2_x4_flip, {"c-conv-eigenbasis", "ring-flip-invariant"}),
     ("flip-moves-no-class", _fix_every_class, {"ring-flip-invariant"}),
     ("gauss-route", _scale_gauss_route, {"exc-gauss-route"}),
+    # X+ X+ and X+ X- trade rows, as do X- X- and X- X+
+    ("split-pair-products", _swap_split_pair_rows,
+     {"c-ee-verlinde", "exc-twist-route", "ring-associative", "ring-unit-dual"}),
+    # the factor 2 of the odd-sector pairings
+    ("s-ea-half", _scale("s_ea", 0.5),
+     {"c-diagonalization", "c-even-formula", "c-folded-sum", "c-odd-formula", "c-sea-unitary"}),
+    # the (-1)^(m/2) sign that tells the split pair's diagonal from its cross entry
+    ("split-pair-sign", _cross_for_diag, {"exc-gauss-route", "exc-pair-sum", "exc-twist-route"}),
 ]
 
 
@@ -636,6 +679,16 @@ def test_s_via_twists_check_stays_small_at_m64():
     weights would take about 290 MB."""
     passed, peak = _passed_and_peak(check_d_s_from_twists, ExtData.build(64))
     assert passed and peak < 16e6, f"check_d_s_from_twists peaked at {peak} bytes"
+
+
+def test_d_verlinde_check_stays_small_at_m64():
+    """The Verlinde check fuses delta+3 row sums and hands `_check` one
+    (a, a) slab per i, about 2 MiB at m=64, where the whole (a, a, a)
+    residual and its gathers took 260 MiB."""
+    ext = ExtData.build(64)
+    ext.d.n  # built on first read; its 17 MB are not the check's
+    passed, peak = _passed_and_peak(check_d_verlinde, ext)
+    assert passed and peak < 16 * 2**20, f"check_d_verlinde peaked at {peak} bytes"
 
 
 def test_diagonalization_images_match_per_image_products(ext_to_8):
