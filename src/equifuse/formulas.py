@@ -140,11 +140,12 @@ def _peak(part):
     """Largest absolute entry of one residual part; a NaN propagates.  A real
     part is reduced through its max and min, which makes no full-size `np.abs`
     copy; the min is negated as a Python float, so an int8 minimum cannot
-    wrap.  A Python scalar part (a split-pair route, a vector distance) goes
-    through `np.asarray`; an empty one (a flip that moves no class) reads as 0
-    through the `initial=0` reductions."""
+    wrap.  A complex or object part (mpmath values) goes through `abs` and
+    float64, where an object maximum would skip a NaN.  A Python scalar part
+    (a split-pair route, a vector distance) goes through `np.asarray`; an
+    empty one (a flip that moves no class) reads as 0 through `initial=0`."""
     r = np.asarray(part)
-    return (np.abs(r).max(initial=0.0) if r.dtype.kind == "c"
+    return (np.abs(r).astype(float, copy=False).max(initial=0.0) if r.dtype.kind in "cO"
             else np.maximum(r.max(initial=0), -float(r.min(initial=0))))
 
 
@@ -165,38 +166,51 @@ def _integer_check(name: str, params: str, tol: float, parts) -> Check:
     return _check(name, params, min(tol, 0.5), parts)
 
 
-def _associativity(t: np.ndarray, gens) -> list[np.ndarray]:
-    """Light's associativity test: for each generator g, (x g) y - x (g y)
-    for all x, y, as an exact array [x, y, z] of shape (a, a, a).
+def _operator_ladder(t: np.ndarray, top):
+    """The associativity check of an int8 table t as int32 residual parts,
+    from the paper's recursion on whole operators.  `top` lists the classes
+    of the top parent, the first numbered as the parent: [a-1] for sl2,
+    [X+, X-] on the quotient.  With L_x left multiplication by X_x, so that
+    t[x] is L_x transposed, the parts are, in this order:
+    - t[0] - I and t[:, 0] - I: L_0 = I and L_x e_0 = e_x;
+    - t[1] @ t[i-1] - t[i-2] minus the t[c] of the classes c of parent i,
+      in blocks of about 8 MB over i = 2..top: L_i = L_{i-1} L_1 - L_{i-2},
+      and L+ + L- at the top;
+    - on the quotient, t[1] @ t[+] - t[+] @ t[1]: L+ commutes with L_1.
+    All zero, every L_x is a polynomial in the commuting L_1 and L+, and e_0
+    is cyclic: such a polynomial that kills e_0 kills every e_y = L_y e_0.
+    Both sides of L_x L_y = sum_z t[x, y, z] L_z send e_0 to L_x e_y, so it
+    holds: the table is associative, and commutative as the L_x commute.  A
+    correct table passes, since the recursion is its fusion rule."""
+    a, parent = len(t), top[0]
+    eye = np.eye(a, dtype=np.int32)
+    yield t[0] - eye
+    yield t[:, 0] - eye
+    x1, step = _diagonals(t[1]), max(1, 2**21 // a**2)  # 2^21 int32 entries per block
+    for i in range(2, parent + 1, step):
+        j = min(i + step, parent + 1)
+        part = _times(t[1], x1, t[i - 1 : j - 1])
+        part -= t[i - 2 : j - 2]
+        part -= t[i:j]
+        if j > parent:  # t[i:j] ends with the top parent's first class
+            part[-1] -= t.take(top[1:], axis=0).sum(axis=0, dtype=np.int32)
+        yield part
+        del part  # else it lives on while the next block is built
+    if len(top) > 1:  # the diagonals of t[1].T are those of t[1], negated
+        yield _times(t[1], x1, t[parent]) - _times(t[1].T, -x1, t[parent].T).T
 
-    The g that pass form a subspace closed under products: for g and h,
-    (x gh) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y).  So once
-    `_x1_ladder` shows that the generators reach every class, zero residuals
-    mean the whole table is associative; commutativity is not used.
 
-    (x g) y = sum_r t[x, g, r] t[r] applies the left rows t[:, g] along axis
-    0, and x (g y) = sum_r t[g, y, r] t[:, r] the right rows t[g] along axis
-    1.  Each generator takes one of two paths, chosen from its rows alone:
-    `_slab_residual` when 8 * (nonzero diagonals of t[:, g] plus those of
-    t[g]) < a, as for the banded X0 and X1 rows, and `_gemm_residual`
-    otherwise, as for the dense X+ row or a corrupted row that grows dense.
-    The float copy the GEMM path reads is built once, and only if some
-    generator takes that path.  Both paths are exact on the int8 tables: a
-    slab entry sums fewer than a/8 products of size at most 128^2, so it
-    stays below a * 2^11, within int32 for a < 2^20; a GEMM partial sum is
-    an integer below a * 128^2, far below 2^53.
-    """
-    operands = None
-    residuals = []
-    for g in gens:
-        left, right = _diagonals(t[:, g]), _diagonals(t[g])
-        if 8 * (len(left) + len(right)) < len(t):
-            residuals.append(_slab_residual(t, g, left, right))
-        else:
-            if operands is None:
-                operands = _gemm_operands(t)
-            residuals.append(_gemm_residual(operands, g))
-    return residuals
+def _times(left: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """left @ rows as int32 for int8 `left` (a, a) and `rows` (..., a, a): one
+    whole-row slab update per diagonal of `left` at `offsets`.  Exact: an entry
+    sums at most a int8 products of size <= 2^14, within int32 for a < 2^17."""
+    a = len(left)
+    out = np.zeros(rows.shape, dtype=np.int32)
+    for d in offsets.tolist():
+        lo, hi = max(0, -d), min(a, a - d)
+        diagonal = left.diagonal(d).astype(np.int32)[:, None]
+        out[..., lo:hi, :] += diagonal * rows[..., lo + d : hi + d, :]
+    return out
 
 
 def _diagonals(rows: np.ndarray) -> np.ndarray:
@@ -208,54 +222,6 @@ def _diagonals(rows: np.ndarray) -> np.ndarray:
     nonzero = np.zeros(2 * a - 1, dtype=bool)
     nonzero[rs - xs + a - 1] = True
     return np.flatnonzero(nonzero) - (a - 1)
-
-
-def _slab_residual(t: np.ndarray, g: int, left, right) -> np.ndarray:
-    """Light's residual at g as an int32 array, one slab update per diagonal
-    d of the left rows t[:, g] (offsets `left`) and of the right rows t[g]
-    (offsets `right`).  Each update spans whole rows of axis 0, or of axis 1
-    through views with axes 0 and 1 swapped, so the contiguous last axis is
-    never cut.  Exact while the diagonals are as few as `_associativity`
-    requires."""
-    a = len(t)
-    r = np.zeros((a, a, a), dtype=np.int32)
-    for out, table, rows, offsets, sign in ((r, t, t[:, g], left, 1),
-                                            (r.swapaxes(0, 1), t.swapaxes(0, 1), t[g], right, -1)):
-        for d in offsets:
-            lo, hi = max(0, -d), min(a, a - d)
-            diagonal = sign * rows.diagonal(d).astype(np.int32)[:, None, None]
-            out[lo:hi] += diagonal * table[lo + d : hi + d]
-    return r
-
-
-def _gemm_operands(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 table, and its moved copy t[r, (x, z)] as an (a, a*a)
-    matrix: the operands `_gemm_residual` reads for every generator."""
-    f = t.astype(np.float64)
-    return f, f.transpose(1, 0, 2).reshape(len(t), -1)
-
-
-def _gemm_residual(operands, g: int) -> np.ndarray:
-    """Light's residual at g as a float64 array, from two 2-D matrix
-    products on `_gemm_operands(t)`: (x g) y is t[:, g] @ t[r, (y, z)], and
-    x (g y) is t[g] @ t[r, (x, z)], moved from [y, x, z] into [x, y, z]
-    order."""
-    f, moved = operands
-    a = len(f)
-    r = (f[:, g, :] @ f.reshape(a, a * a)).reshape(a, a, a)
-    r -= (f[g] @ moved).reshape(a, a, a).transpose(1, 0, 2)
-    return r
-
-
-def _x1_ladder(t: np.ndarray, descent: np.ndarray) -> np.ndarray:
-    """X1 X_{i-1} minus the classes that descend from i and from i-2, for
-    i = 2 up to the top parent: zero iff X_i = X1 X_{i-1} - X_{i-2} (the
-    paper's recursion), and on the quotient X+ + X- = X1 X_{2m-1} - X_{2m-2}.
-    So X0, X1 (and X+ on the quotient) generate the table: the span
-    certificate of `_associativity`."""
-    i = np.arange(2, descent.max() + 1)
-    return (t[1, i - 1].astype(np.int64) - (descent == i[:, None])
-            - (descent == i[:, None] - 2))
 
 
 # -- identity checks on the sl2 side ----------------------------------------
@@ -308,21 +274,20 @@ def check_d_folds(ext: ExtData, tol: float) -> list[Check]:
 
 
 def check_d_n_associative(ext: ExtData, tol: float) -> Check:
-    """Light's test on the generators X0 and X1, with the span certificate."""
+    """`_operator_ladder` up to the top object."""
     n = ext.d.n
     return _integer_check("d-n-associative", f"kappa={ext.kappa}", tol,
-                          _associativity(n, (0, 1)) + [_x1_ladder(n, np.arange(len(n)))])
+                          _operator_ladder(n, [len(n) - 1]))
 
 
 # -- identity checks on the ring side ----------------------------------------
 
 
 def check_ring_associative(ext: ExtData, tol: float) -> Check:
-    """Light's test on the generators X0, X1 and X+, with the span certificate."""
+    """`_operator_ladder` up to the split pair, and X+ commuting with X1."""
     ring = ext.ring
     return _integer_check("ring-associative", f"m={ext.m}", tol,
-                          _associativity(ring.l, (0, 1, ring.plus))
-                          + [_x1_ladder(ring.l, ring.descent)])
+                          _operator_ladder(ring.l, [ring.plus, ring.minus]))
 
 
 def check_ring_dimension_hom(ext: ExtData, tol: float) -> Check:

@@ -8,6 +8,7 @@ from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,13 +20,9 @@ from equifuse.ring import TypeDRing
 from equifuse.sl2 import Sl2Data
 from equifuse.formulas import (
     Check,
-    _associativity,
     _check,
     _diagonals,
-    _gemm_operands,
-    _gemm_residual,
-    _slab_residual,
-    _x1_ladder,
+    _operator_ladder,
     check_coefficient_folding,
     check_conv_eigenbasis,
     check_d_n_associative,
@@ -299,6 +296,16 @@ def test_check_reports_largest_magnitude():
     # a real part is reduced through its max and min, a complex one through abs
     assert _check("x", "", 1e-9, [np.array([-3.0, 1.0])]).max_residual == 3.0
     assert _check("x", "", 1e-9, [np.array([1.0]), np.array([-4j, 2.0])]).max_residual == 4.0
+
+
+def test_check_reduces_an_object_part_through_abs():
+    # mpmath values have no ordering on the complex plane; |3+4j| is 5
+    part = np.array([mpmath.mpc(3, 4), mpmath.mpc(0, -1)])
+    assert part.dtype == object
+    assert _check("x", "", 1e-9, [part]).max_residual == 5.0
+    # a maximum over objects compares pairwise, and a NaN compares false
+    c = _check("x", "", 1e-9, [np.array([mpmath.mpf("nan"), mpmath.mpf(1e-12)])])
+    assert np.isnan(c.max_residual) and c.passed is False
 
 
 def test_check_reads_an_empty_part_as_zero():
@@ -710,7 +717,7 @@ def test_diagonalization_images_match_per_image_products(ext_to_8):
         assert np.array_equal(lhs, mix @ cols)
 
 
-# -- associativity: Light's test and the span certificate against the int64 einsum --
+# -- associativity: the recursion on whole operators against the int64 einsum --
 
 
 def _einsum_associativity(t: np.ndarray) -> np.ndarray:
@@ -718,43 +725,14 @@ def _einsum_associativity(t: np.ndarray) -> np.ndarray:
     return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
 
 
-def _associativity_case(ext, table):
-    """The table, its generators, the descent its span certificate reads, and its check."""
-    if table == "d.n":
-        return ext.d.n, (0, 1), np.arange(ext.d.delta + 1), check_d_n_associative
-    return ext.ring.l, (0, 1, ext.ring.plus), ext.ring.descent, check_ring_associative
-
-
-@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
 @pytest.mark.parametrize("table", ["d.n", "ring.l"])
-def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
-    """Each generator residual is the einsum's (x g) y - x (g y) slice at g,
-    entry for entry, and the check FAILs exactly when the einsum is nonzero."""
+def test_associativity_check_equals_int64_einsum(ext_to_8, table):
+    """The table as built and seeded +-1 single-entry mutations: the check
+    passes exactly when the table is associative, by the dense oracle, and
+    commutative."""
     ext = ext_to_8
-    t, gens, _, check = _associativity_case(ext, table)
-    original = t.copy()
-    if corrupt:  # also breaks commutativity, so a swapped axis shows
-        t[1, 2, 3] += 1
-    try:
-        got, want = _associativity(t, gens), _einsum_associativity(t)
-        passed = check(ext, TOL).passed
-    finally:
-        t[...] = original
-    assert len(got) == len(gens)
-    for g, r in zip(gens, got):
-        assert r.dtype in (np.float64, np.int32) and r.shape == want[:, g].shape
-        assert np.array_equal(r, want[:, g]), g
-    assert corrupt == bool(want.any()) == any(r.any() for r in got)
-    assert passed is not corrupt
-
-
-@pytest.mark.parametrize("table", ["d.n", "ring.l"])
-def test_generator_residual_is_zero_iff_einsum_is_zero(ext_to_8, table):
-    """Seeded +-1 single-entry mutations, and the table as built: the
-    generator residuals vanish exactly when the dense oracle does, and the
-    check passes exactly then."""
-    ext = ext_to_8
-    t, gens, descent, check = _associativity_case(ext, table)
+    t, check = ((ext.d.n, check_d_n_associative) if table == "d.n"
+                else (ext.ring.l, check_ring_associative))
     rng = np.random.default_rng([ext.m, len(t)])
     mutations = [(None, 0)] + [(tuple(rng.integers(len(t), size=3)), int(rng.choice([-1, 1])))
                                for _ in range(12)]
@@ -763,49 +741,12 @@ def test_generator_residual_is_zero_iff_einsum_is_zero(ext_to_8, table):
         if entry is not None:
             t[entry] += delta
         try:
-            associative = not _einsum_associativity(t).any()
-            generators_pass = not any(r.any() for r in _associativity(t, gens))
-            spans = not _x1_ladder(t, descent).any()
+            want = not _einsum_associativity(t).any() and np.array_equal(t, t.transpose(1, 0, 2))
             passed = check(ext, TOL).passed
         finally:
             t[...] = original
-        assert generators_pass == associative, (entry, delta)
-        assert passed == (associative and spans), (entry, delta)
-
-
-@pytest.mark.parametrize("table", ["d.n", "ring.l"])
-def test_each_path_equals_int64_einsum(ext_to_8, table):
-    """Both paths of Light's test, called directly at every generator, equal
-    the einsum slice want[:, g] entry for entry: on the table as built, on
-    seeded +-1 single-entry mutations, and on one mutation that gives a row
-    of the generator nearest the bound one more diagonal.  At m=8 that
-    generator (X1 for sl2, X0 for the quotient) takes the slab path as built
-    and the GEMM path after that mutation."""
-    ext = ext_to_8
-    t, gens, _, _ = _associativity_case(ext, table)
-    a, near = len(t), 1 if table == "d.n" else 0
-    rng = np.random.default_rng([ext.m, a, 2])
-    flip = (0, near, a - 1)  # t[0, g, a-1] = 0 as built: the product with X0 is one class
-    mutations = [(None, 0), (flip, 1)] + [(tuple(rng.integers(a, size=3)), int(rng.choice([-1, 1])))
-                                          for _ in range(12)]
-    chosen = {}
-    for entry, delta in mutations:
-        original = t.copy()
-        if entry is not None:
-            t[entry] += delta
-        try:
-            want = _einsum_associativity(t)
-            chosen[entry] = _associativity(t, gens)[near].dtype
-            for g in gens:
-                slab = _slab_residual(t, g, _diagonals(t[:, g]), _diagonals(t[g]))
-                gemm = _gemm_residual(_gemm_operands(t), g)
-                assert slab.dtype == np.int32 and gemm.dtype == np.float64
-                assert np.array_equal(slab, want[:, g]), (entry, delta, g)
-                assert np.array_equal(gemm, want[:, g]), (entry, delta, g)
-        finally:
-            t[...] = original
-    if ext.m == 8:
-        assert (chosen[None], chosen[flip]) == (np.int32, np.float64)
+        assert passed == want, (entry, delta)
+        assert passed == (entry is None), (entry, delta)  # so both outcomes are reached
 
 
 def test_diagonals_lists_each_nonzero_offset_once():
@@ -815,17 +756,39 @@ def test_diagonals_lists_each_nonzero_offset_once():
     assert _diagonals(np.zeros((3, 3), dtype=np.int8)).tolist() == []
 
 
+@pytest.mark.parametrize("top", [[5], [4, 5]], ids=["sl2", "ring"])
+def test_operator_ladder_parts_equal_int64_formulas(top):
+    """Every part on seeded int8 tables, whose X1 rows hold nonzero entries
+    on the diagonals -1 and 2 only, so not on a symmetric set of them,
+    against its formula in int64."""
+    rng = np.random.default_rng(len(top))
+    offset = np.arange(6) - np.arange(6)[:, None]
+    for _ in range(5):
+        t = rng.integers(-128, 128, size=(6, 6, 6)).astype(np.int8)
+        t[1][(offset != -1) & (offset != 2)] = 0
+        w = t.astype(np.int64)
+        p = top[0]  # steps i = 2..p, one block
+        want = [w[0] - np.eye(6), w[:, 0] - np.eye(6),
+                np.einsum("yw,iwz->iyz", w[1], w[1:p]) - w[: p - 1] - w[2 : p + 1]]
+        if len(top) > 1:
+            want[-1][-1] -= w[5]
+            want.append(w[1] @ w[4] - w[4] @ w[1])
+        got = list(_operator_ladder(t, top))
+        assert len(got) == len(want)
+        for part, formula in zip(got, want):
+            assert part.dtype == np.int32 and np.array_equal(part, formula)
+
+
 def test_span_certificate_fails_on_a_table_whose_x1_row_does_not_span():
     # X1 X3 = X2 + X4 loses X4, so the recursion no longer reaches X4
     ext = ExtData.build(2)
     ext.d.n[1, 3, 4] = 0
-    assert _x1_ladder(ext.d.n, np.arange(ext.d.delta + 1)).any()
     assert check_d_n_associative(ext, TOL).passed is False
 
 
 def _unreached_pair() -> np.ndarray:
     """X0 a unit, X2 X3 = X2 and X3 X2 = X3, every other product 0: not
-    associative, (X2 X3) X2 = 0 but X2 (X3 X2) = X2, yet X0, X1 and X4 pass."""
+    associative, (X2 X3) X2 = 0 but X2 (X3 X2) = X2."""
     t = np.zeros((6, 6, 6), dtype=np.int8)
     t[0] = t[:, 0] = np.eye(6, dtype=np.int8)
     t[2, 3, 2] = t[3, 2, 3] = 1
@@ -848,30 +811,31 @@ def _x_plus_self_dual_lost() -> np.ndarray:
     return l
 
 
-# Non-associative tables that every part of an associativity check but one
-# passes: (table, check, generators, descent of the span certificate, the
-# part that FAILs).  X+ is class 4 in both ring-shaped tables.
+# Non-associative tables that all parts of `_operator_ladder` but one kind
+# pass: (table, check, classes of the top parent, the kinds of part that
+# FAIL).  X+ is class 4 in both ring-shaped tables.
 NEEDED_PARTS = [
-    ("sl2-certificate", _unreached_pair, check_d_n_associative, (0, 1), range(6), None),
-    ("ring-certificate", _unreached_pair, check_ring_associative, (0, 1, 4), [0, 1, 2, 3, 4, 4],
-     None),
-    ("sl2-generator-x0", _x0_not_a_unit, check_d_n_associative, (0, 1), range(3), 0),
-    ("ring-generator-x+", _x_plus_self_dual_lost, check_ring_associative, (0, 1, 4),
-     [0, 1, 2, 3, 4, 4], 4),
+    ("sl2-recursion", _unreached_pair, check_d_n_associative, [5], {"recursion"}),
+    ("ring-recursion", _unreached_pair, check_ring_associative, [4, 5], {"recursion"}),
+    ("sl2-unit", _x0_not_a_unit, check_d_n_associative, [2], {"left-unit", "right-unit"}),
+    ("ring-x+-commutator", _x_plus_self_dual_lost, check_ring_associative, [4, 5],
+     {"commutator"}),
 ]
 
 
-@pytest.mark.parametrize("table, check, gens, descent, needed", [row[1:] for row in NEEDED_PARTS],
+@pytest.mark.parametrize("table, check, top, needed", [row[1:] for row in NEEDED_PARTS],
                          ids=[row[0] for row in NEEDED_PARTS])
-def test_each_part_of_the_associativity_check_is_needed(table, check, gens, descent, needed):
-    t, descent = table(), np.array(descent)
+def test_each_part_of_the_associativity_check_is_needed(table, check, top, needed):
+    t = table()
     table_only = SimpleNamespace(d=SimpleNamespace(n=t), kappa=0, m=0,
-                                 ring=SimpleNamespace(l=t, plus=4, descent=descent))
+                                 ring=SimpleNamespace(l=t, plus=top[0], minus=top[-1]))
     assert _einsum_associativity(t).any()
     assert check(table_only, TOL).passed is False
-    failing = [g for g, r in zip(gens, _associativity(t, gens)) if r.any()]
-    assert failing == ([] if needed is None else [needed])
-    assert _x1_ladder(t, descent).any() == (needed is None)
+    parts = list(_operator_ladder(t, top))
+    split = len(top) > 1
+    kinds = ["left-unit", "right-unit"] + ["recursion"] * (len(parts) - 2 - split)
+    kinds += ["commutator"] * split
+    assert {kind for kind, part in zip(kinds, parts) if part.any()} == needed
 
 
 def test_associativity_checks_fail_on_corrupt_entry():
@@ -884,24 +848,16 @@ def test_associativity_checks_fail_on_corrupt_entry():
         assert check.max_residual == np.max(np.abs(_einsum_associativity(t))) > 0
 
 
-def test_associativity_checks_stay_small_at_m32():
-    """Light's test keeps a few (a, a, a) arrays, 82 MB at m=32 for sl2,
-    where the dense (a, a, a, a) residual would need 2.06 GiB."""
-    ext = ExtData.build(32)
-    ext.d.n  # built on first read; its 2 MB are not the check's
+def test_associativity_checks_stay_small_at_m64():
+    """Each part of `_operator_ladder` is one block of about 8 MB, and
+    `_check` drops it once reduced: about 16 MiB at m=64 for either check,
+    where one (a, a, a) residual per generator peaked at 194 MiB (sl2) and
+    84 MiB (the quotient)."""
+    ext = ExtData.build(64)
+    ext.d.n  # built on first read; its 17 MB are not the check's
     for check in (check_d_n_associative, check_ring_associative):
         passed, peak = _passed_and_peak(check, ext)
-        assert passed and peak < 128 * 2**20, f"{check.__name__} peaked at {peak} bytes"
-
-
-def test_d_n_associative_stays_small_at_m32():
-    """The banded X0 and X1 rows take the int32 slab path: two residuals and
-    one slab temporary, about 25 MB at m=32, where the float64 GEMMs of both
-    generators peak at 82 MB."""
-    ext = ExtData.build(32)
-    ext.d.n  # built on first read; its 2 MB are not the check's
-    passed, peak = _passed_and_peak(check_d_n_associative, ext)
-    assert passed and peak < 48 * 2**20, f"peaked at {peak} bytes"
+        assert passed and peak < 32 * 2**20, f"{check.__name__} peaked at {peak} bytes"
 
 
 def test_battery_does_not_import_numpy_ma():
