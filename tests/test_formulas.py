@@ -725,14 +725,44 @@ def _einsum_associativity(t: np.ndarray) -> np.ndarray:
     return np.einsum("ijr,rkl->ijkl", t, t) - np.einsum("jkr,irl->ijkl", t, t)
 
 
+def _associativity_case(ext, table):
+    """The table, the classes of its top parent, and its check."""
+    if table == "d.n":
+        return ext.d.n, [len(ext.d.n) - 1], check_d_n_associative
+    return ext.ring.l, [ext.ring.plus, ext.ring.minus], check_ring_associative
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+@pytest.mark.parametrize("table", ["d.n", "ring.l"])
+def test_associativity_equals_int64_einsum(ext_to_8, table, corrupt):
+    """As built, every part of `_operator_ladder` is zero and so is the
+    einsum; with X1 X2 gaining an X3, which also breaks commutativity, the
+    einsum is nonzero, so is some part, and the check FAILs with the largest
+    part entry as its residual."""
+    ext = ext_to_8
+    t, top, check = _associativity_case(ext, table)
+    original = t.copy()
+    if corrupt:
+        t[1, 2, 3] += 1
+    try:
+        want = _einsum_associativity(t)
+        parts = list(_operator_ladder(t, top))
+        c = check(ext, TOL)
+    finally:
+        t[...] = original
+    assert all(part.dtype == np.int32 for part in parts)
+    assert corrupt == bool(want.any()) == any(part.any() for part in parts)
+    assert c.passed is not corrupt
+    assert c.max_residual == max(int(np.abs(part).max()) for part in parts)
+
+
 @pytest.mark.parametrize("table", ["d.n", "ring.l"])
 def test_associativity_check_equals_int64_einsum(ext_to_8, table):
     """The table as built and seeded +-1 single-entry mutations: the check
     passes exactly when the table is associative, by the dense oracle, and
     commutative."""
     ext = ext_to_8
-    t, check = ((ext.d.n, check_d_n_associative) if table == "d.n"
-                else (ext.ring.l, check_ring_associative))
+    t, _, check = _associativity_case(ext, table)
     rng = np.random.default_rng([ext.m, len(t)])
     mutations = [(None, 0)] + [(tuple(rng.integers(len(t), size=3)), int(rng.choice([-1, 1])))
                                for _ in range(12)]
@@ -747,6 +777,33 @@ def test_associativity_check_equals_int64_einsum(ext_to_8, table):
             t[...] = original
         assert passed == want, (entry, delta)
         assert passed == (entry is None), (entry, delta)  # so both outcomes are reached
+
+
+@pytest.mark.parametrize("table", ["d.n", "ring.l"])
+def test_associativity_check_equals_int64_einsum_on_commuting_mutations(ext_to_8, table):
+    """Seeded +-1 mutations of an entry t[x, y, z] together with its mirror
+    t[y, x, z] keep the table commutative, so the check must read
+    associativity alone: it passes exactly when the dense oracle is zero."""
+    ext = ext_to_8
+    t, _, check = _associativity_case(ext, table)
+    rng = np.random.default_rng([ext.m, len(t), 3])
+    outcomes = set()
+    for _ in range(12):
+        (x, y, z), delta = rng.integers(len(t), size=3), int(rng.choice([-1, 1]))
+        original = t.copy()
+        t[x, y, z] += delta
+        if x != y:
+            t[y, x, z] += delta
+        try:
+            assert np.array_equal(t, t.transpose(1, 0, 2))
+            want = not _einsum_associativity(t).any()
+            passed = check(ext, TOL).passed
+        finally:
+            t[...] = original
+        assert passed == want, (x, y, z, delta)
+        outcomes.add(passed)
+    assert check(ext, TOL).passed
+    assert False in outcomes
 
 
 def test_diagonals_lists_each_nonzero_offset_once():
@@ -848,16 +905,22 @@ def test_associativity_checks_fail_on_corrupt_entry():
         assert check.max_residual == np.max(np.abs(_einsum_associativity(t))) > 0
 
 
-def test_associativity_checks_stay_small_at_m64():
+@pytest.fixture(scope="module")
+def ext_64():
+    ext = ExtData.build(64)
+    ext.d.n  # built on first read; its 17 MB are not a check's
+    return ext
+
+
+@pytest.mark.parametrize("check", [check_d_n_associative, check_ring_associative],
+                         ids=["d-n-associative", "ring-associative"])
+def test_associativity_checks_stay_small_at_m64(ext_64, check):
     """Each part of `_operator_ladder` is one block of about 8 MB, and
     `_check` drops it once reduced: about 16 MiB at m=64 for either check,
     where one (a, a, a) residual per generator peaked at 194 MiB (sl2) and
     84 MiB (the quotient)."""
-    ext = ExtData.build(64)
-    ext.d.n  # built on first read; its 17 MB are not the check's
-    for check in (check_d_n_associative, check_ring_associative):
-        passed, peak = _passed_and_peak(check, ext)
-        assert passed and peak < 32 * 2**20, f"{check.__name__} peaked at {peak} bytes"
+    passed, peak = _passed_and_peak(check, ext_64)
+    assert passed and peak < 32 * 2**20, f"{check.__name__} peaked at {peak} bytes"
 
 
 def test_battery_does_not_import_numpy_ma():
