@@ -44,61 +44,31 @@ def _json_float(x: float) -> str:
     return _NON_FINITE.get(text) or float.__repr__(float(text))
 
 
-def _json_number(x) -> str:
-    """A float, bool or int as json.dumps writes it, a float first cut to 12 significant digits."""
-    if isinstance(x, float):
-        return _json_float(x)
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _json_column(values, strings: dict[str, str]) -> list[str]:
-    """Each value encoded as it sits in a record.  A column of one exact type
-    among str, int, float and complex is encoded in one pass; any other
-    column (bools, mixed types, numpy scalars) goes value by value."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return [strings.get(v) or strings.setdefault(v, encode_basestring_ascii(v)) for v in values]
-    if kinds == {float}:
-        return [_json_float(v) for v in values]
-    if kinds == {complex}:
-        return [_JSON_PAIR % (_json_float(v.real), _json_float(v.imag)) for v in values]
-    if kinds == {int}:
-        return [int.__repr__(v) for v in values]
-    encoded = []
-    for v in values:
-        if isinstance(v, str):
-            text = strings.get(v) or strings.setdefault(v, encode_basestring_ascii(v))
-        elif isinstance(v, complex):
-            text = _JSON_PAIR % (_json_number(v.real), _json_number(v.imag))
-        else:
-            text = _json_number(v)
-        encoded.append(text)
-    return encoded
-
-
 def _emit_json(m: int, kappa: int, tolerance: float, columns: dict[str, list]) -> None:
     """Print the envelope, one record per row of `columns` (key -> list), in the bytes of
-    json.dumps(payload, indent=2, sort_keys=True); a value other than str, bool, int,
-    float or complex raises TypeError.
-    """
+    json.dumps(payload, indent=2, sort_keys=True).  Each value is written by the entry for
+    its exact type; a value of any other type, a numpy scalar say, raises TypeError."""
+    strings: dict[str, str] = {}  # a label repeats once per record it sits in
+    encode = {
+        str: lambda v: strings.get(v) or strings.setdefault(v, encode_basestring_ascii(v)),
+        float: _json_float,
+        int: int.__repr__,
+        bool: lambda v: "true" if v else "false",
+        complex: lambda v: _JSON_PAIR % (_json_float(v.real), _json_float(v.imag)),
+    }
     keys = sorted(columns)
+    try:
+        encoded = [[encode[type(v)](v) for v in columns[k]] for k in keys]
+        kappa_text, m_text, tolerance_text = (encode[type(v)](v) for v in (kappa, m, tolerance))
+    except KeyError as exc:
+        raise TypeError(f"Object of type {exc.args[0].__name__} "
+                        "is not JSON serializable") from None
     fields = ",\n".join(f"      {encode_basestring_ascii(k)}: %s" for k in keys)
     template = f"    {{\n{fields}\n    }}"
-    strings: dict[str, str] = {}
-    encoded = [_json_column(columns[k], strings) for k in keys]
     records = ",\n".join(template % row for row in zip(*encoded, strict=True))
     results = f"[\n{records}\n  ]" if records else "[]"
-    print(f'{{\n  "kappa": {_json_number(kappa)},\n  "m": {_json_number(m)},\n'
-          f'  "results": {results},\n  "tolerance": {_json_number(tolerance)}\n}}')
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+    print(f'{{\n  "kappa": {kappa_text},\n  "m": {m_text},\n'
+          f'  "results": {results},\n  "tolerance": {tolerance_text}\n}}')
 
 
 def _d_labels(delta: int) -> list[str]:
@@ -265,7 +235,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except ValueError as exc:  # includes UnsupportedCaseError: odd m, labels out of scope
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

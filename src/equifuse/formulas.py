@@ -334,13 +334,15 @@ def check_exceptional_routes(ext: ExtData, tol: float) -> list[Check]:
     m, params = ext.m, f"m={ext.m}"
     closed = exceptional_diag(m)
     middle = ext.ring.descent[ext.ring.plus]
-    try:
-        twist = exceptional_diag_via_twists(ext) - closed
-    except InconsistencyError:  # a non-real twist route FAILs through a NaN residual
-        twist = np.nan
+    routes = []
+    for route, arg in ((exceptional_diag_via_twists, ext), (exceptional_diag_via_gauss, m)):
+        try:
+            routes.append(route(arg) - closed)
+        except InconsistencyError:  # a non-real route FAILs through a NaN residual
+            routes.append(np.nan)
     return [
-        _check("exc-twist-route", params, tol, [twist]),
-        _check("exc-gauss-route", params, tol, [exceptional_diag_via_gauss(m) - closed]),
+        _check("exc-twist-route", params, tol, [routes[0]]),
+        _check("exc-gauss-route", params, tol, [routes[1]]),
         _check("exc-pair-sum", params, tol,
                [closed + exceptional_cross(m) - ext.d.s[middle, middle]]),
     ]

@@ -35,6 +35,11 @@ def test_q_power_one_is_unimodular(kappa):
     assert abs(abs(q_power(1, kappa)) - 1.0) < TOL
 
 
+def test_quantum_integer_rejects_small_kappa():
+    with pytest.raises(ValueError, match="kappa must be at least 3"):
+        quantum_integer(1, 2)
+
+
 def test_quantum_integer_values():
     assert abs(quantum_integer(1, 10) - 1.0) < TOL
     # sin(9 pi/10) = sin(pi/10)

@@ -132,9 +132,10 @@ def test_json_matches_json_dumps_reference(capsys, argv, expected):
     assert code == 0
 
 
-EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1 / 3, 2**70,
-               complex(math.nan, 1.0), complex(-0.0, math.inf), True, False,
-               'a "quoted" \\ backslash', "٣", "\x00\n\t", 7]
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1 / 3, 0.1 + 0.2,
+               2**70, 0, -1, 7, complex(math.nan, 1.0), complex(-0.0, math.inf), 1j,
+               0.5 - 2e-300j, True, False, "V0", 'a "quoted" \\ backslash', "٣", "\x00\n\t",
+               "V0"]
 
 
 def test_emit_json_edge_values(capsys):
@@ -150,11 +151,16 @@ def test_emit_json_empty_results(capsys):
     assert '"results": [],' in out
 
 
-def test_emit_json_rejects_numpy_integers(capsys):
-    with pytest.raises(TypeError):
-        json.dumps(np.int64(1))  # the reference rejects it too
-    with pytest.raises(TypeError, match="int64"):
-        _emit_json(2, 10, EPS, {"mult": [np.int64(1)]})
+@pytest.mark.parametrize("value", [np.int64(1), np.float64(0.5), np.str_("X1")],
+                         ids=["int64", "float64", "str_"])
+def test_emit_json_rejects_numpy_integers(capsys, value):
+    # only the exact types have a writer; json.dumps takes the float64 and str_
+    # subclasses but rejects int64 too
+    if isinstance(value, np.integer):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+    with pytest.raises(TypeError, match=f"Object of type {type(value).__name__} is not"):
+        _emit_json(2, 10, EPS, {"mult": [value]})
 
 
 def test_non_ascii_label_is_escaped(capsys):

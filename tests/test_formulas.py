@@ -479,6 +479,12 @@ def _scale_gauss_route(ext, monkeypatch):
     monkeypatch.setattr(extended, "gauss_sum_reciprocal", lambda *a: 1.01 * reciprocal(*a))
 
 
+def _complex_gauss_route(ext, monkeypatch):
+    reciprocal = extended.gauss_sum_reciprocal
+    monkeypatch.setattr(extended, "gauss_sum_reciprocal",
+                        lambda *a: reciprocal(*a) * (1 + 0.01j))
+
+
 # Corruptions of a built m=4 object (X+ is class 8) that the constructors
 # would reject, each with every check it FAILs when the whole battery runs;
 # all other checks must pass.  The rows together trip every check name.
@@ -524,6 +530,7 @@ BATTERY_CORRUPTIONS = [
     ("flip-swaps-x2-x4", _swap_x2_x4_flip, {"c-conv-eigenbasis", "ring-flip-invariant"}),
     ("flip-moves-no-class", _fix_every_class, {"ring-flip-invariant"}),
     ("gauss-route", _scale_gauss_route, {"exc-gauss-route"}),
+    ("complex-gauss-route", _complex_gauss_route, {"exc-gauss-route"}),
     # X+ X+ and X+ X- trade rows, as do X- X- and X- X+
     ("split-pair-products", _swap_split_pair_rows,
      {"c-ee-verlinde", "exc-twist-route", "ring-associative", "ring-unit-dual"}),

@@ -50,6 +50,11 @@ def test_bool_index_is_rejected(d10, index):
         d10.s_from_twists(2, index)
 
 
+def test_rejects_small_kappa():
+    with pytest.raises(ValueError, match="kappa must be at least 3"):
+        Sl2Data(2)
+
+
 def test_s_matrix_values(d10):
     assert abs(d10.s[0, 0] - math.sqrt(0.2) * math.sin(math.pi / 10)) < TOL
     assert abs(d10.s[0, 0] - 0.138197) < 1e-6
